@@ -1,8 +1,11 @@
 """Query facade for the two neighbor-data access models.
 
-Samplers never touch the graph arrays directly; every piece of neighbor
-information flows through :func:`query_node` (or the bulk variant
-:func:`probe_all_neighbors`) so that query costs can be accounted for.
+The facade defines what each piece of neighbor information costs: a
+crawler gets it from :func:`query_node` (or the bulk variant
+:func:`probe_all_neighbors`), and every query is charged to a
+:class:`QueryLedger`. The walk in :mod:`privwalk.walk` reads the graph
+arrays directly and fills the ledger in bulk after its loop, with the
+counts these functions would have charged; the tests hold it to that.
 
 Under the ``ideal`` model a report carries each neighbor's privacy flag.
 Under the ``hidden`` model it carries ids only; learning a label costs a

@@ -20,6 +20,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -71,12 +72,30 @@ _BOOL_TOKENS = {"true": True, "1": True, "yes": True, "false": False, "0": False
 
 
 def _parse_floats(s: str) -> tuple[float, ...]:
-    s = s.strip()
-    if ":" in s:  # start:stop:step, inclusive stop within half a step
-        start, stop, step = (float(t) for t in s.split(":"))
+    """Parse ``start:stop:step`` (stop inclusive within half a step) or a comma list.
+
+    Raises ValueError with a one-line message for a malformed, zero-step,
+    reversed or empty grid.
+    """
+    text = s.strip()
+    if ":" in text:
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"grid {s!r}: expected start:stop:step")
+        start, stop, step = (float(t) for t in parts)
+        if not all(math.isfinite(x) for x in (start, stop, step)):
+            raise ValueError(f"grid {s!r}: bounds and step must be finite")
+        if step == 0:
+            raise ValueError(f"grid {s!r}: step must be non-zero")
         count = int(round((stop - start) / step)) + 1
-        return tuple(round(start + i * step, 10) for i in range(count))
-    return tuple(float(t) for t in s.split(",") if t.strip())
+        if count < 1:
+            raise ValueError(f"grid {s!r}: step {step:g} leads away from stop {stop:g}")
+        values = tuple(round(start + i * step, 10) for i in range(count))
+    else:
+        values = tuple(float(t) for t in text.split(",") if t.strip())
+    if not values:
+        raise ValueError(f"grid {s!r} is empty")
+    return values
 
 
 def load_config(path) -> ExperimentConfig:
@@ -100,17 +119,23 @@ def load_config(path) -> ExperimentConfig:
             raise ValueError(f"{path}: {key} must be true/false, got {token!r}")
         return _BOOL_TOKENS[token]
 
+    def pop_grid(key: str, default: str) -> tuple[float, ...]:
+        try:
+            return _parse_floats(raw.pop(key, default))
+        except ValueError as e:
+            raise ValueError(f"{path}: {key}: {e}") from None
+
     if "dataset" not in raw:
         raise ValueError(f"{path}: missing required key 'dataset'")
     cfg = ExperimentConfig(
         dataset=raw.pop("dataset"),
         labels=raw.pop("labels", "bernoulli"),
         label_file=raw.pop("label_file", None),
-        p_grid=_parse_floats(raw.pop("p_grid", "0.0")),
+        p_grid=pop_grid("p_grid", "0.0"),
         model=AccessModel(raw.pop("model", "hidden")),
         pubdeg_mode=PubdegMode(raw.pop("pubdeg_mode", "approx_hidden")),
         sample_fractions=(
-            _parse_floats(raw.pop("sample_fraction")) if "sample_fraction" in raw else None
+            pop_grid("sample_fraction", "") if "sample_fraction" in raw else None
         ),
         sample_sizes=(
             tuple(int(t) for t in raw.pop("sample_size").split(","))
@@ -137,6 +162,21 @@ def load_config(path) -> ExperimentConfig:
         raise ValueError(f"{path}: labels = file requires label_file")
     if cfg.nrmse_target not in ("estimates", "convergence"):
         raise ValueError(f"{path}: nrmse_target must be 'estimates' or 'convergence'")
+    if cfg.trials < 1:
+        raise ValueError(f"{path}: trials must be at least 1, got {cfg.trials}")
+    if cfg.workers < 1:
+        raise ValueError(f"{path}: workers must be at least 1, got {cfg.workers}")
+    for p in cfg.p_grid:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"{path}: p_grid values must lie in [0, 1], got {p}")
+    for f in cfg.sample_fractions or ():
+        if not 0.0 < f <= 1.0:
+            raise ValueError(f"{path}: sample_fraction must lie in (0, 1], got {f}")
+    for r in cfg.sample_sizes or ():
+        if r < 2:
+            raise ValueError(f"{path}: sample_size must be at least 2, got {r}")
+    if not 0.0 < cfg.m_fraction <= 1.0:
+        raise ValueError(f"{path}: m_fraction must lie in (0, 1], got {cfg.m_fraction}")
     return cfg
 
 
@@ -166,6 +206,23 @@ def _pool_init(g, cfg):  # pragma: no cover - exercised only with workers > 1
 def _pool_trial(args):  # pragma: no cover - exercised only with workers > 1
     p, r, trial_seed = args
     return _run_trial(_POOL_STATE["g"], _POOL_STATE["cfg"], p, r, trial_seed)
+
+
+def _run_trials(g: LabeledGraph, cfg: ExperimentConfig, tasks) -> list:
+    """Outcomes of (p, r, seed) trials, in task order.
+
+    With ``workers > 1`` one process pool serves every task of the run,
+    so the graph is sent to each worker once.
+    """
+    if cfg.workers <= 1:
+        return [_run_trial(g, cfg, p, r, seed) for p, r, seed in tasks]
+    with ProcessPoolExecutor(
+        max_workers=cfg.workers,
+        mp_context=get_context("spawn"),
+        initializer=_pool_init,
+        initargs=(g, cfg),
+    ) as pool:
+        return list(pool.map(_pool_trial, tasks, chunksize=8))
 
 
 def _trial_context(g: LabeledGraph, cfg: ExperimentConfig, p: float | None, trial_seed: int):
@@ -242,28 +299,21 @@ def run_experiment(cfg: ExperimentConfig, graph: LabeledGraph | None = None) -> 
     else:
         p_cells = list(cfg.p_grid)
 
-    rows: list[NrmseRow] = []
-    for p in p_cells:
-        for r in sizes:
-            tasks = [(p, r, cfg.base_seed + t) for t in range(cfg.trials)]
-            if cfg.workers > 1:
-                with ProcessPoolExecutor(
-                    max_workers=cfg.workers, initializer=_pool_init, initargs=(g, cfg)
-                ) as pool:
-                    outcomes = list(pool.map(_pool_trial, tasks, chunksize=8))
-            else:
-                outcomes = [_run_trial(g, cfg, p, r, seed) for _, _, seed in tasks]
+    cells = [(p, r) for p in p_cells for r in sizes]
+    tasks = [(p, r, cfg.base_seed + t) for p, r in cells for t in range(cfg.trials)]
+    all_outcomes = _run_trials(g, cfg, tasks)
 
-            est = np.array([o[0] for o in outcomes if o[0] is not None], dtype=float)
-            ratios = np.array([o[1] for o in outcomes], dtype=float)
-            failed = sum(1 for o in outcomes if o[0] is None)
-            mean_ratio = float(np.nanmean(ratios)) if not np.all(np.isnan(ratios)) else float("nan")
-            p_label = g.private_fraction if p is None else float(p)
-            for j, name in enumerate(ESTIMATOR_NAMES):
-                nrmse = _nrmse(est[:, j], truths[name]) if est.size else float("nan")
-                rows.append(
-                    NrmseRow(p_label, r, name, nrmse, failed, mean_ratio, cfg.trials)
-                )
+    rows: list[NrmseRow] = []
+    for i, (p, r) in enumerate(cells):
+        outcomes = all_outcomes[i * cfg.trials : (i + 1) * cfg.trials]
+        est = np.array([o[0] for o in outcomes if o[0] is not None], dtype=float)
+        ratios = np.array([o[1] for o in outcomes], dtype=float)
+        failed = sum(1 for o in outcomes if o[0] is None)
+        mean_ratio = float(np.nanmean(ratios)) if not np.all(np.isnan(ratios)) else float("nan")
+        p_label = g.private_fraction if p is None else float(p)
+        for j, name in enumerate(ESTIMATOR_NAMES):
+            nrmse = _nrmse(est[:, j], truths[name]) if est.size else float("nan")
+            rows.append(NrmseRow(p_label, r, name, nrmse, failed, mean_ratio, cfg.trials))
 
     os.makedirs(cfg.outdir, exist_ok=True)
     _write_csv(

@@ -11,23 +11,27 @@ neighbor selections and ``a`` selections that hit a public node. In the
 approximate mode the public degree of a sampled node is estimated as
 ``degree * a / b`` without ever querying the neighborhood's labels
 exhaustively.
+
+The walk itself is one tight loop over the CSR arrays that records
+every neighbor selection and nothing else. The node sequence, the tries
+per sample, the degrees and public degrees, the selection counters and
+the caller's query ledger are all derived from that record afterwards
+with NumPy. They take the same values, under the same query conventions,
+as charging each query through the :mod:`privwalk.access` facade as it
+happens; the facade remains the reference those conventions are
+defined and tested by.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
 import numpy as np
 
-from .access import (
-    AccessModel,
-    QueryLedger,
-    is_public_via_model,
-    probe_all_neighbors,
-    query_node,
-)
+from .access import AccessModel, QueryLedger
 from .graph import GraphError, LabeledGraph, PublicClusterView, largest_public_cluster
 
 
@@ -140,10 +144,11 @@ def run_walk(
         (`exact_ideal` needs ideal access, the other two hidden access).
     rng_seed
         Anything accepted by :func:`numpy.random.default_rng`. Walks are
-        reproducible given the seed, and the exact modes consume the
+        reproducible given the seed, and all three modes consume the
         random stream identically, so they visit the same node sequence.
     ledger
-        Query accounting; a fresh ledger is created when omitted.
+        Query accounting; a fresh ledger is created when omitted. Charges
+        are added on top of whatever the ledger already holds.
     view
         Precomputed largest-cluster view, to avoid recomputing it per walk.
     count_visit_queries
@@ -156,6 +161,10 @@ def run_walk(
     own report is free, having been fetched while selecting a seed that
     is public at all; afterwards the only charged queries are the label
     probes, whose reports double as the next sample's neighbor data.
+    `exact_hidden` probes every neighbor of each sample once per visit,
+    `approx_hidden` probes each selected neighbor. Within a sample the
+    arrival charge comes first, then the probes in selection order; with
+    ``memoize`` only a node's first charge counts.
     """
     model = AccessModel(model)
     pubdeg_mode = PubdegMode(pubdeg_mode)
@@ -179,90 +188,124 @@ def run_walk(
     if ledger is None:
         ledger = QueryLedger()
 
-    ideal = model is AccessModel.IDEAL
-    exact_hidden = pubdeg_mode is PubdegMode.EXACT_HIDDEN
-    approx = pubdeg_mode is PubdegMode.APPROX_HIDDEN
+    probes = _select(g, int(seed_node), r, rng_seed)
+    # each sample's selections end at its first public hit, which is the
+    # next sample; the final sample's trailing hit is selected but unused
+    hits = np.flatnonzero(~g.is_private[probes])
+    nodes = np.empty(r, dtype=np.int64)
+    nodes[0] = seed_node
+    nodes[1:] = probes[hits[:-1]]
+    tries = np.diff(hits, prepend=-1)
+    degs = g.degrees[nodes]
 
-    rng = np.random.default_rng(rng_seed)
-    buf = rng.random(_RAND_BLOCK)
-    bi = 0
+    # distinct nodes renumbered in first-visit order; ``inv`` maps each
+    # sample to its node's number
+    uniq, first, inv, visits = np.unique(
+        nodes, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    distinct, first, visits, inv = uniq[order], first[order], visits[order], rank[inv]
+    # a: one public hit per visit; b: every selection made from the node
+    attempts = np.bincount(inv, weights=tries).astype(np.int64)
+    ids = distinct.tolist()
+    counters = SelectionCounters(
+        dict(zip(ids, visits.tolist())), dict(zip(ids, attempts.tolist()))
+    )
 
-    nodes_out = np.empty(r, dtype=np.int64)
-    degs_out = np.empty(r, dtype=np.int64)
-    pub_out = np.zeros(r, dtype=np.float64)
+    visit = int(count_visit_queries)
+    n = g.node_count
+    if pubdeg_mode is PubdegMode.APPROX_HIDDEN:
+        pub_out = degs * (visits / attempts)[inv]
+        # sample k charges its arrival, if counted, then its own probes
+        charged = np.insert(probes, hits - tries + 1, nodes) if visit else probes
+        per_sample = tries + visit
+        _charge(ledger, n, charged, np.cumsum(per_sample), np.arange(r), per_sample)
+        return WalkRecord(nodes, degs, pub_out, pubdeg_mode, ledger, counters)
 
-    succ: dict[int, int] = {}
-    att: dict[int, int] = {}
+    # the distinct nodes' neighbor lists, laid end to end
+    lens = g.degrees[distinct]
+    ends = np.cumsum(lens)
+    nbr_ids = g.indices[np.repeat(g.indptr[distinct] - ends + lens, lens) + np.arange(ends[-1])]
+    private_run = np.concatenate(([0], np.cumsum(g.is_private[nbr_ids])))
+    public = lens - (private_run[ends] - private_run[ends - lens])
+    pub_out = public[inv].astype(np.float64)
 
-    cur = int(seed_node)
-
-    ledger.begin_sample()
-    if ideal:
-        rep = query_node(g, cur, model, ledger)
+    if model is AccessModel.IDEAL:
+        # every visit is one query; arrivals are never free here
+        _charge(ledger, n, nodes, np.arange(1, r + 1), np.arange(r), np.ones(r, np.int64))
     else:
-        rep = query_node(g, cur, model, None)  # seed report came with seed selection
-        if count_visit_queries:
-            ledger.charge(cur)
+        # a revisit charges the same ids as the node's first visit, so the
+        # distinct nodes in first-visit order carry every first charge
+        charged = np.insert(nbr_ids, ends - lens, distinct) if visit else nbr_ids
+        _charge(ledger, n, charged, np.cumsum(lens + visit), first, degs + visit)
+    return WalkRecord(nodes, degs, pub_out, pubdeg_mode, ledger, counters)
 
-    for k in range(r):
-        nbrs = rep.neighbor_ids
-        deg = len(nbrs)
-        nodes_out[k] = cur
-        degs_out[k] = deg
 
-        if ideal:
-            priv_flags = rep.neighbor_private
-            pub_out[k] = deg - np.count_nonzero(priv_flags)
-        elif exact_hidden:
-            priv_flags = ~probe_all_neighbors(g, cur, ledger)
-            pub_out[k] = deg - np.count_nonzero(priv_flags)
-        else:
-            priv_flags = None
+def _select(g: LabeledGraph, seed_node: int, r: int, rng_seed) -> np.ndarray:
+    """Every neighbor selection of an ``r``-sample walk, in order.
 
-        if cur not in att:
-            succ[cur] = 0
-            att[cur] = 0
-
-        # uniform neighbor selection with replacement until a public hit;
-        # the trailing selection of the final sample runs and counts too
-        tries = 0
+    From the current node a uniform neighbor is drawn, with replacement,
+    until a public one is hit; it becomes the next node. The final sample
+    makes its selections too. Draw ``i`` picks neighbor
+    ``int(u_i * degree)``, with ``u_i`` read from the generator in blocks
+    of ``_RAND_BLOCK`` uniforms.
+    """
+    rng = np.random.default_rng(rng_seed)
+    indptr = memoryview(g.indptr)
+    indices = memoryview(g.indices)
+    private = g.is_private.tobytes()
+    buf = memoryview(rng.random(_RAND_BLOCK))
+    bi = 0
+    probes = array("q")
+    push = probes.append
+    cur = seed_node
+    for _ in range(r):
+        lo = indptr[cur]
+        deg = indptr[cur + 1] - lo
         while True:
             if bi == _RAND_BLOCK:
-                buf = rng.random(_RAND_BLOCK)
+                buf = memoryview(rng.random(_RAND_BLOCK))
                 bi = 0
-            idx = int(buf[bi] * deg)
+            cur = indices[lo + int(buf[bi] * deg)]
             bi += 1
-            tries += 1
-            u = int(nbrs[idx])
-            if priv_flags is not None:
-                ok = not priv_flags[idx]
-            else:
-                ok = is_public_via_model(g, u, model, ledger)  # one query per probe
-            if ok:
+            push(cur)
+            if not private[cur]:
                 break
-        att[cur] += tries
-        succ[cur] += 1
+    return np.frombuffer(probes, dtype=np.int64)
 
-        if k + 1 < r:
-            ledger.begin_sample()
-            if ideal:
-                rep = query_node(g, u, model, ledger)
-            else:
-                rep = query_node(g, u, model, None)  # reuse the probe's report
-                if count_visit_queries:
-                    ledger.charge(u)
-            cur = u
 
-    if approx:
-        uniq, inv = np.unique(nodes_out, return_inverse=True)
-        ratios = np.array([succ[int(v)] / att[int(v)] for v in uniq])
-        pub_out = degs_out * ratios[inv]
+def _charge(
+    ledger: QueryLedger,
+    n: int,
+    charged: np.ndarray,
+    seg_ends: np.ndarray,
+    seg_sample: np.ndarray,
+    plain_counts: np.ndarray,
+) -> None:
+    """Add a walk's queries to ``ledger``, one bucket per sample.
 
-    return WalkRecord(
-        nodes_out,
-        degs_out,
-        pub_out,
-        pubdeg_mode,
-        ledger,
-        SelectionCounters(succ, att),
-    )
+    ``charged`` lists queried ids in charge order, cut into segments that
+    end at ``seg_ends``; segment ``i`` belongs to sample ``seg_sample[i]``.
+    ``plain_counts`` is each sample's charge count without memoization.
+    The result equals charging the ids one by one with
+    :meth:`QueryLedger.charge`, after one ``begin_sample`` per sample.
+    """
+    if ledger.memoize:
+        # a charge counts when it is the id's first, and the id is new
+        ids, first = np.unique(charged, return_index=True)
+        if ledger.unique_queried:
+            prior = np.fromiter(ledger.unique_queried, np.int64, len(ledger.unique_queried))
+            fresh = ~np.isin(ids, prior)
+            ids, first = ids[fresh], first[fresh]
+        owner = seg_sample[np.searchsorted(seg_ends, first, side="right")]
+        counts = np.bincount(owner, minlength=plain_counts.size)
+    else:
+        queried = np.zeros(n, dtype=bool)
+        queried[charged] = True
+        ids = np.flatnonzero(queried)
+        counts = plain_counts
+    ledger.raw_queries += int(counts.sum())
+    ledger.per_sample_queries.extend(counts.tolist())
+    ledger.unique_queried.update(ids.tolist())

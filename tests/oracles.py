@@ -3,12 +3,24 @@
 Everything here is deliberately naive: flood fill instead of sparse
 component labeling, literal double loops instead of prefix sums, power
 iteration instead of closed forms, exhaustive label enumeration instead
-of moment algebra. Slow but obviously correct.
+of moment algebra, and a walk that charges its queries one at a time
+through the access facade. Slow but obviously correct.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from privwalk import (
+    AccessModel,
+    PubdegMode,
+    QueryLedger,
+    SelectionCounters,
+    WalkRecord,
+    is_public_via_model,
+    probe_all_neighbors,
+    query_node,
+)
 
 
 def flood_fill_public_clusters(edges, is_private) -> list[set[int]]:
@@ -131,3 +143,114 @@ def label_redraw_sums(g, view) -> dict:
         "sum_dstar_d": int(np.sum(dstar * d)),
         "sum_ratio": float(np.sum(dstar / d)),
     }
+
+
+_RAND_BLOCK = 1 << 14
+
+
+def reference_walk(
+    g,
+    model,
+    seed_node: int,
+    r: int,
+    pubdeg_mode,
+    rng_seed,
+    ledger: QueryLedger | None = None,
+    *,
+    count_visit_queries: bool = False,
+) -> WalkRecord:
+    """The designed walk, one facade query at a time.
+
+    Takes ``run_walk``'s arguments for a valid walk (public seed on a
+    cluster of at least two members) and charges the ledger query by
+    query, exactly as a crawler would meet them. Consumes the random
+    stream as ``run_walk`` documents: uniforms in blocks of 16384, draw
+    ``u`` picks neighbor ``int(u * degree)``.
+    """
+    model = AccessModel(model)
+    pubdeg_mode = PubdegMode(pubdeg_mode)
+    if ledger is None:
+        ledger = QueryLedger()
+
+    ideal = model is AccessModel.IDEAL
+    exact_hidden = pubdeg_mode is PubdegMode.EXACT_HIDDEN
+    approx = pubdeg_mode is PubdegMode.APPROX_HIDDEN
+
+    rng = np.random.default_rng(rng_seed)
+    buf = rng.random(_RAND_BLOCK)
+    bi = 0
+
+    nodes_out = np.empty(r, dtype=np.int64)
+    degs_out = np.empty(r, dtype=np.int64)
+    pub_out = np.zeros(r, dtype=np.float64)
+
+    succ: dict[int, int] = {}
+    att: dict[int, int] = {}
+
+    cur = int(seed_node)
+
+    ledger.begin_sample()
+    if ideal:
+        rep = query_node(g, cur, model, ledger)
+    else:
+        rep = query_node(g, cur, model, None)  # seed report came with seed selection
+        if count_visit_queries:
+            ledger.charge(cur)
+
+    for k in range(r):
+        nbrs = rep.neighbor_ids
+        deg = len(nbrs)
+        nodes_out[k] = cur
+        degs_out[k] = deg
+
+        if ideal:
+            priv_flags = rep.neighbor_private
+            pub_out[k] = deg - np.count_nonzero(priv_flags)
+        elif exact_hidden:
+            priv_flags = ~probe_all_neighbors(g, cur, ledger)
+            pub_out[k] = deg - np.count_nonzero(priv_flags)
+        else:
+            priv_flags = None
+
+        if cur not in att:
+            succ[cur] = 0
+            att[cur] = 0
+
+        # uniform neighbor selection with replacement until a public hit;
+        # the trailing selection of the final sample runs and counts too
+        tries = 0
+        while True:
+            if bi == _RAND_BLOCK:
+                buf = rng.random(_RAND_BLOCK)
+                bi = 0
+            idx = int(buf[bi] * deg)
+            bi += 1
+            tries += 1
+            u = int(nbrs[idx])
+            if priv_flags is not None:
+                ok = not priv_flags[idx]
+            else:
+                ok = is_public_via_model(g, u, model, ledger)  # one query per probe
+            if ok:
+                break
+        att[cur] += tries
+        succ[cur] += 1
+
+        if k + 1 < r:
+            ledger.begin_sample()
+            if ideal:
+                rep = query_node(g, u, model, ledger)
+            else:
+                rep = query_node(g, u, model, None)  # reuse the probe's report
+                if count_visit_queries:
+                    ledger.charge(u)
+            cur = u
+
+    if approx:
+        uniq, inv = np.unique(nodes_out, return_inverse=True)
+        ratios = np.array([succ[int(v)] / att[int(v)] for v in uniq])
+        pub_out = degs_out * ratios[inv]
+
+    return WalkRecord(
+        nodes_out, degs_out, pub_out, pubdeg_mode, ledger, SelectionCounters(succ, att)
+    )

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,65 @@ def test_load_config_errors(tmp_path):
         load_config(_write_config(tmp_path, "dataset g\n"))
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("trials = 0", "trials must be at least 1"),
+        ("workers = 0", "workers must be at least 1"),
+        ("sample_fraction = 0.01, 1.5", r"sample_fraction must lie in \(0, 1\]"),
+        ("sample_fraction = 0", r"sample_fraction must lie in \(0, 1\]"),
+        ("sample_size = 100, 1", "sample_size must be at least 2"),
+        ("m_fraction = 0", r"m_fraction must lie in \(0, 1\]"),
+        ("m_fraction = 1.2", r"m_fraction must lie in \(0, 1\]"),
+        ("p_grid = 0.5, 1.5", r"p_grid values must lie in \[0, 1\]"),
+        ("p_grid = 0:0.3:0", "p_grid: grid '0:0.3:0': step must be non-zero"),
+    ],
+)
+def test_load_config_rejects_out_of_range_values(tmp_path, line, message):
+    f = _write_config(tmp_path, f"dataset = g\n{line}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(f))}: {message}"):
+        load_config(f)
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("0:0.3:0", "step must be non-zero"),
+        ("0.3:0:0.1", "leads away from stop"),
+        ("", "is empty"),
+        (" , ", "is empty"),
+        ("0:0.3", "expected start:stop:step"),
+        ("0:inf:0.1", "must be finite"),
+    ],
+)
+def test_parse_floats_rejects_bad_grids(grid, message):
+    from privwalk.experiment import _parse_floats
+
+    with pytest.raises(ValueError, match=message):
+        _parse_floats(grid)
+
+
+def test_parse_floats_grids():
+    from privwalk.experiment import _parse_floats
+
+    assert _parse_floats("0:0.3:0.1") == (0.0, 0.1, 0.2, 0.3)
+    assert _parse_floats("0.3:0:-0.1") == (0.3, 0.2, 0.1, 0.0)
+    assert _parse_floats("0.2:0.2:0.1") == (0.2,)
+    assert _parse_floats("0.1, 0.4") == (0.1, 0.4)
+
+
+@pytest.mark.parametrize("grid", ["0:0.3:0", "0.3:0:0.1", ","])
+def test_cli_rejects_bad_grids(tmp_path, capsys, grid):
+    from privwalk.cli import main
+
+    dataset = tmp_path / "edges.txt"
+    write_edge_file(dataset, random_connected_edges(20, 30, seed=3))
+    assert main(["theory", str(dataset), "--p-grid", grid, "--out", str(tmp_path / "t.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid ") and err.count("\n") == 1
+    assert not (tmp_path / "t.csv").exists()
+
+
 def _cfg(tmp_path, **kw):
     base = dict(
         dataset="unused",
@@ -146,10 +207,10 @@ def test_outputs_are_byte_deterministic(tmp_path, medium_graph):
 
 
 def test_worker_pool_matches_serial(tmp_path, medium_graph):
-    serial = _cfg(tmp_path, p_grid=(0.2,), trials=8, outdir=str(tmp_path / "s"))
-    pooled = _cfg(
-        tmp_path, p_grid=(0.2,), trials=8, outdir=str(tmp_path / "p"), workers=2
-    )
+    # a 2 x 2 grid: one pool serves every cell of the run
+    grid = dict(p_grid=(0.2, 0.3), sample_sizes=(150, 300), trials=8)
+    serial = _cfg(tmp_path, outdir=str(tmp_path / "s"), **grid)
+    pooled = _cfg(tmp_path, outdir=str(tmp_path / "p"), workers=2, **grid)
     run_experiment(serial, graph=medium_graph)
     run_experiment(pooled, graph=medium_graph)
     assert (tmp_path / "s" / "nrmse.csv").read_bytes() == (
