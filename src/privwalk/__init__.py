@@ -16,7 +16,6 @@ from .estimators import (
     avg_degree_estimates,
     build_report,
     default_gap_threshold,
-    estimate_privacy_rate,
     size_estimates,
 )
 from .experiment import (

@@ -48,15 +48,6 @@ class NeighborReport:
     def degree(self) -> int:
         return len(self.neighbor_ids)
 
-    @property
-    def entries(self) -> list[tuple[int, str | None]]:
-        """Neighbor list as (id, 'public'/'private'/None) tuples."""
-        if self.neighbor_private is None:
-            return [(int(v), None) for v in self.neighbor_ids]
-        return [
-            (int(v), "private" if p else "public")
-            for v, p in zip(self.neighbor_ids, self.neighbor_private)
-        ]
 
 
 class QueryLedger:

@@ -10,19 +10,22 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .access import QueryLedger
-from .estimators import NoCollisionError, build_report
+from .estimators import NoCollisionError, build_report, default_gap_threshold
 from .experiment import _parse_floats, _write_csv, load_config, query_census, run_experiment
 from .graph import GraphError, LabeledGraph, assign_labels_bernoulli, largest_public_cluster
 from .ingest import IngestError, load_edge_list, load_labels, load_sample_records, save_labels
 from .theory import THEORY_COLUMNS, theory_report_rows
-from .walk import PubdegMode, StuckWalkError, run_walk
+from .walk import PubdegMode, StuckWalkError, pick_seed_node, run_walk
+
+
+def _check_fraction(flag: str, x: float) -> None:
+    if not 0.0 < x <= 1.0:
+        raise ValueError(f"{flag} must lie in (0, 1], got {x}")
 
 
 def _load_labeled(args) -> LabeledGraph:
-    g = load_edge_list(args.edges, getattr(args, "directed", False))
+    g = load_edge_list(args.edges)
     if getattr(args, "label_file", None):
         g = load_labels(args.label_file, g, strict=not getattr(args, "lenient", False))
     elif getattr(args, "bernoulli", None) is not None:
@@ -35,11 +38,10 @@ def _add_label_opts(sub) -> None:
     sub.add_argument("--bernoulli", type=float, help="draw labels with this privacy rate")
     sub.add_argument("--label-seed", type=int, default=0, help="seed for --bernoulli")
     sub.add_argument("--lenient", action="store_true", help="tolerate incomplete label files")
-    sub.add_argument("--directed", action="store_true", help="edge file lists directed edges")
 
 
 def _cmd_ingest(args) -> int:
-    g = load_edge_list(args.edges, args.directed)
+    g = load_edge_list(args.edges)
     print(f"nodes {g.node_count}")
     print(f"edges {g.edge_count}")
     print(f"avg_degree {g.avg_degree:.6g}")
@@ -74,18 +76,18 @@ def _cmd_labels(args) -> int:
 
 
 def _cmd_walk(args) -> int:
+    if args.fraction is not None:
+        _check_fraction("--fraction", args.fraction)
     g = _load_labeled(args)
     view = largest_public_cluster(g)
-    if args.length:
+    if args.length is not None:
         r = args.length
     else:
         r = max(2, int(round(args.fraction * g.node_count)))
     if args.seed_node is not None:
         seed_node = args.seed_node
     else:
-        pick = np.random.default_rng(args.seed_pick_seed)
-        members = view.members
-        seed_node = int(members[pick.integers(members.size)])
+        seed_node = pick_seed_node(view, args.seed_pick_seed)
     mode = PubdegMode(args.mode)
     ledger = QueryLedger(memoize=args.memoize)
     record = run_walk(
@@ -111,8 +113,9 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    _check_fraction("--m-fraction", args.m_fraction)
     record = load_sample_records(args.record)
-    m = args.m if args.m is not None else max(1, int(np.ceil(args.m_fraction * record.r)))
+    m = args.m if args.m is not None else default_gap_threshold(record.r, args.m_fraction)
     rep = build_report(record, m)
     print(f"samples {rep.sample_count}")
     print(f"gap_threshold {rep.gap_threshold}")
@@ -148,7 +151,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    g = load_edge_list(args.edges, args.directed)
+    g = load_edge_list(args.edges)
     if args.label_file:
         g = load_labels(args.label_file, g, strict=not args.lenient)
         view = largest_public_cluster(g)
@@ -194,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="preprocess an edge list and report its shape")
     p.add_argument("edges")
-    p.add_argument("--directed", action="store_true")
     p.add_argument("--out-edges", help="write the preprocessed edge list")
     p.add_argument("--out-map", help="write the dense-to-original id map")
     p.set_defaults(func=_cmd_ingest)
@@ -211,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="approx_hidden", choices=[m.value for m in PubdegMode])
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--length", type=int, help="number of samples")
-    group.add_argument("--fraction", type=float, help="samples as a fraction of n")
+    group.add_argument("--fraction", type=float, help="samples as a fraction of n, in (0, 1]")
     p.add_argument("--seed-node", type=int, help="fixed public seed node (dense id)")
     p.add_argument("--seed-pick-seed", type=int, default=0, help="seed for uniform seed choice")
     p.add_argument("--rng-seed", type=int, default=0)
@@ -224,13 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate size/degree/privacy from a sample file")
     p.add_argument("record")
     p.add_argument("-m", type=int, default=None, help="index-pair gap threshold")
-    p.add_argument("--m-fraction", type=float, default=0.025)
+    p.add_argument("--m-fraction", type=float, default=0.025,
+                   help="gap threshold as a fraction of r, in (0, 1]; clamped to 1..r-1")
     p.add_argument("--csv", help="also write the report as CSV")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("theory", help="write closed-form expectations per privacy rate")
     p.add_argument("edges")
-    p.add_argument("--directed", action="store_true")
     p.add_argument("--label-file", help="use real labels instead of a p grid")
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--p-grid", default="0.0:0.3:0.03", help="'start:stop:step' or comma list")

@@ -45,7 +45,12 @@ class SizeEstimates(NamedTuple):
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Every estimate computable from one walk record."""
+    """Every estimate computable from one walk record.
+
+    Each privacy rate is ``1 - prior / proposed``, for the size pair and
+    for the average-degree pair. They are raw values, not clamped to
+    [0, 1], so sampling noise can push either slightly negative.
+    """
 
     collision_mean: float
     weight_mean_prior: float
@@ -60,9 +65,9 @@ class EstimateReport:
     sample_count: int
 
 
-def default_gap_threshold(r: int) -> int:
-    """Default index-pair gap: 2.5% of the walk length, at least 1."""
-    return max(1, math.ceil(0.025 * r))
+def default_gap_threshold(r: int, fraction: float = 0.025) -> int:
+    """Index-pair gap: ``fraction`` of the walk length, within ``1..r-1``."""
+    return max(1, min(r - 1, math.ceil(fraction * r)))
 
 
 def _pair_count(r: int, m: int) -> int:
@@ -135,21 +140,9 @@ def avg_degree_estimates(record: WalkRecord) -> tuple[float, float]:
     return smooth, proposed
 
 
-def estimate_privacy_rate(report: EstimateReport) -> tuple[float, float]:
-    """Privacy-rate estimates from the size pair and the degree pair.
-
-    Raw values: no clamping to [0, 1], so sampling noise can push either
-    estimate slightly negative.
-    """
-    if report.size_proposed <= 0 or report.avg_degree_proposed <= 0:
-        raise ValueError("privacy rate needs positive proposed estimates")
-    p_from_size = 1.0 - report.size_nc / report.size_proposed
-    p_from_avg = 1.0 - report.avg_degree_smooth / report.avg_degree_proposed
-    return p_from_size, p_from_avg
-
-
 def build_report(record: WalkRecord, m: int | None = None) -> EstimateReport:
-    """Compute all estimates of one record; ``m`` defaults to 2.5% of r."""
+    """Compute all estimates of one record; ``m`` defaults to
+    :func:`default_gap_threshold` of the record length."""
     if m is None:
         m = default_gap_threshold(record.r)
     size = size_estimates(record, m)

@@ -25,11 +25,11 @@ from multiprocessing import get_context
 import numpy as np
 
 from .access import AccessModel, QueryLedger
-from .estimators import NoCollisionError, build_report
+from .estimators import NoCollisionError, build_report, default_gap_threshold
 from .graph import GraphError, LabeledGraph, assign_labels_bernoulli, largest_public_cluster
 from .ingest import load_edge_list, load_labels
 from .theory import THEORY_COLUMNS, convergence_values, theory_report_rows
-from .walk import PubdegMode, StuckWalkError, run_walk
+from .walk import PubdegMode, StuckWalkError, pick_seed_node, run_walk
 
 ESTIMATOR_NAMES = ("nc_size", "proposed_size", "smooth_avg_degree", "proposed_avg_degree")
 
@@ -52,7 +52,6 @@ class ExperimentConfig:
     count_visit_queries: bool = False
     census_memoize: bool = False
     workers: int = 1
-    directed_input: bool = False
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,6 @@ def load_config(path) -> ExperimentConfig:
         count_visit_queries=pop_bool("count_visit_queries", False),
         census_memoize=pop_bool("census_memoize", False),
         workers=int(raw.pop("workers", "1")),
-        directed_input=pop_bool("directed", False),
     )
     if cfg.sample_fractions is None and cfg.sample_sizes is None:
         cfg = replace(cfg, sample_fractions=(0.01,))
@@ -177,6 +175,11 @@ def load_config(path) -> ExperimentConfig:
             raise ValueError(f"{path}: sample_size must be at least 2, got {r}")
     if not 0.0 < cfg.m_fraction <= 1.0:
         raise ValueError(f"{path}: m_fraction must lie in (0, 1], got {cfg.m_fraction}")
+    if cfg.model is not cfg.pubdeg_mode.access_model:
+        raise ValueError(
+            f"{path}: pubdeg_mode = {cfg.pubdeg_mode.value} requires "
+            f"model = {cfg.pubdeg_mode.access_model.value}, got model = {cfg.model.value}"
+        )
     return cfg
 
 
@@ -187,7 +190,7 @@ def _sample_sizes(cfg: ExperimentConfig, n: int) -> tuple[int, ...]:
 
 
 def _load_graph(cfg: ExperimentConfig) -> LabeledGraph:
-    g = load_edge_list(cfg.dataset, cfg.directed_input)
+    g = load_edge_list(cfg.dataset)
     if cfg.labels == "file":
         g = load_labels(cfg.label_file, g)
     return g
@@ -225,21 +228,21 @@ def _run_trials(g: LabeledGraph, cfg: ExperimentConfig, tasks) -> list:
         return list(pool.map(_pool_trial, tasks, chunksize=8))
 
 
-def _trial_context(g: LabeledGraph, cfg: ExperimentConfig, p: float | None, trial_seed: int):
-    """Labeled graph, cluster view and child seeds for one trial."""
+def _trial_context(g: LabeledGraph, p: float | None, trial_seed: int):
+    """Labeled graph, cluster view, seed node and walk seed for one trial."""
     keys = np.random.SeedSequence(trial_seed).spawn(3)
     if p is None:  # labels came from a file and stay fixed
         gl = g
     else:
         gl = assign_labels_bernoulli(g, p, keys[0])
     view = largest_public_cluster(gl)
-    return gl, view, keys
+    return gl, view, pick_seed_node(view, keys[1]), keys[2]
 
 
 def _run_trial(g, cfg: ExperimentConfig, p: float | None, r: int, trial_seed: int):
     """Returns (estimates or None, query_ratio or nan)."""
     try:
-        gl, view, keys = _trial_context(g, cfg, p, trial_seed)
+        gl, view, seed_node, walk_seed = _trial_context(g, p, trial_seed)
     except GraphError:
         return None, float("nan")
 
@@ -252,9 +255,6 @@ def _run_trial(g, cfg: ExperimentConfig, p: float | None, r: int, trial_seed: in
             cv.avg_degree_proposed,
         ), float("nan")
 
-    members = view.members
-    pick = np.random.default_rng(keys[1])
-    seed_node = int(members[pick.integers(members.size)])
     ledger = QueryLedger()
     try:
         record = run_walk(
@@ -263,7 +263,7 @@ def _run_trial(g, cfg: ExperimentConfig, p: float | None, r: int, trial_seed: in
             seed_node,
             r,
             cfg.pubdeg_mode,
-            keys[2],
+            walk_seed,
             ledger,
             view=view,
             count_visit_queries=cfg.count_visit_queries,
@@ -271,9 +271,8 @@ def _run_trial(g, cfg: ExperimentConfig, p: float | None, r: int, trial_seed: in
     except StuckWalkError:
         return None, float("nan")
     ratio = ledger.raw_queries / r
-    m = max(1, min(r - 1, math.ceil(cfg.m_fraction * r)))
     try:
-        rep = build_report(record, m)
+        rep = build_report(record, default_gap_threshold(r, cfg.m_fraction))
     except NoCollisionError:
         return None, ratio
     return (rep.size_nc, rep.size_proposed, rep.avg_degree_smooth, rep.avg_degree_proposed), ratio
@@ -359,12 +358,9 @@ def query_census(cfg: ExperimentConfig, graph: LabeledGraph | None = None) -> li
             stats = {mode: {"unique": [], "raw": []} for mode in modes}
             for t in range(cfg.trials):
                 try:
-                    gl, view, keys = _trial_context(g, cfg, p, cfg.base_seed + t)
+                    gl, view, seed_node, walk_seed = _trial_context(g, p, cfg.base_seed + t)
                 except GraphError:
                     continue
-                members = view.members
-                pick = np.random.default_rng(keys[1])
-                seed_node = int(members[pick.integers(members.size)])
                 for mode in modes:
                     ledger = QueryLedger(memoize=cfg.census_memoize)
                     try:
@@ -374,7 +370,7 @@ def query_census(cfg: ExperimentConfig, graph: LabeledGraph | None = None) -> li
                             seed_node,
                             r,
                             mode,
-                            keys[2],
+                            walk_seed,
                             ledger,
                             view=view,
                             count_visit_queries=cfg.count_visit_queries,

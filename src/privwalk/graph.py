@@ -190,39 +190,58 @@ def build_graph(
     if n == 0:
         raise GraphError("graph needs at least one node")
 
-    seen: set[tuple[int, int]] = set()
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) references a node outside 0..{n - 1}")
-        if u == v:
-            if drop_duplicates:
-                continue
-            raise GraphError(f"self-loop at node {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            if drop_duplicates:
-                continue
-            raise GraphError(f"duplicate edge ({u}, {v})")
-        seen.add(key)
-    if not seen:
+    e = np.fromiter(edges, dtype=np.dtype((np.int64, 2)))
+    u, v = e[:, 0], e[:, 1]
+    # the first bad edge in input order raises; per edge the range check
+    # comes first, then the self-loop, then the duplicate check
+    out_of_range = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    loop = u == v
+    valid = np.flatnonzero(~out_of_range & ~loop)
+    key = np.minimum(u, v)[valid] * n + np.maximum(u, v)[valid]
+    key, first = np.unique(key, return_index=True)
+    bad = out_of_range.copy()
+    if not drop_duplicates:
+        bad |= loop
+        bad[valid] = True
+        bad[valid[first]] = False  # a key's first edge is no duplicate
+    if bad.any():
+        i = int(np.argmax(bad))
+        a, b = int(u[i]), int(v[i])
+        if out_of_range[i]:
+            raise GraphError(f"edge ({a}, {b}) references a node outside 0..{n - 1}")
+        if loop[i]:
+            raise GraphError(f"self-loop at node {a}")
+        raise GraphError(f"duplicate edge ({a}, {b})")
+    if not key.size:
         raise GraphError("edge list must be non-empty")
 
-    pairs = np.array(sorted(seen), dtype=np.int64)
-    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-
-    g = LabeledGraph(indptr, dst, is_private, label_origin or _default_origin(is_private))
-
-    adj = csr_matrix((np.ones(dst.size, dtype=np.int8), dst, indptr), shape=(n, n))
-    n_comp, _ = connected_components(adj, directed=False)
+    indptr, indices = _csr_from_pairs(key // n, key % n, n)
+    n_comp, _ = _components(indptr, indices, n)
     if n_comp != 1:
         raise GraphError(f"graph is not connected ({n_comp} components)")
-    return g
+    return LabeledGraph(indptr, indices, is_private, label_origin or _default_origin(is_private))
+
+
+def _csr_from_pairs(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric CSR ``(indptr, indices)`` with sorted rows.
+
+    ``lo < hi`` lists each undirected edge over ``0..n-1`` once.
+    """
+    key = np.concatenate([lo * n + hi, hi * n + lo])
+    key.sort()
+    src, dst = np.divmod(key, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst
+
+
+def _components(indptr: np.ndarray, indices: np.ndarray, n: int) -> tuple[int, np.ndarray]:
+    """Connected components of a symmetric CSR: count and per-node label.
+
+    Labels number the components in order of their smallest node id.
+    """
+    adj = csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(n, n))
+    return connected_components(adj, directed=False)
 
 
 def _default_origin(is_private: np.ndarray) -> LabelOrigin:
@@ -263,8 +282,7 @@ def largest_public_cluster(g: LabeledGraph) -> PublicClusterView:
 
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(pub_deg, out=indptr[1:])
-    sub = csr_matrix((np.ones(kept_dst.size, dtype=np.int8), kept_dst, indptr), shape=(n, n))
-    n_comp, comp = connected_components(sub, directed=False)
+    n_comp, comp = _components(indptr, kept_dst, n)
 
     comp_pub = comp[pub]
     counts = np.bincount(comp_pub, minlength=n_comp)

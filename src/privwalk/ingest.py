@@ -12,10 +12,7 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
-
-from .graph import ALL_PUBLIC, GraphError, LabeledGraph, LabelOrigin
+from .graph import ALL_PUBLIC, LabeledGraph, LabelOrigin, _components, _csr_from_pairs
 from .walk import PubdegMode, WalkRecord
 
 log = logging.getLogger(__name__)
@@ -36,17 +33,16 @@ def _data_lines(path):
             yield lineno, s
 
 
-def load_edge_list(path, directed_input: bool = False) -> LabeledGraph:
+def load_edge_list(path) -> LabeledGraph:
     """Load and preprocess a whitespace-separated ``src dst`` edge list.
 
     Lines starting with ``#`` or ``%`` are comments. Extra columns after
-    the first two (weights, timestamps) are ignored. ``directed_input``
-    is informational: directions are removed either way.
+    the first two (weights, timestamps) are ignored. Directions are
+    removed, so ``u v`` and ``v u`` are the same edge.
 
     The returned graph is all-public, connected (largest component),
     densely renumbered, with the original ids in ``graph.orig_ids``.
     """
-    del directed_input  # direction removal is unconditional
     srcs: list[int] = []
     dsts: list[int] = []
     for lineno, s in _data_lines(path):
@@ -71,43 +67,25 @@ def load_edge_list(path, directed_input: bool = False) -> LabeledGraph:
 
     # dense id space, then canonical undirected dedup
     ids = np.unique(np.concatenate([src, dst]))
-    n0 = ids.size
+    n = ids.size
     src = np.searchsorted(ids, src)
     dst = np.searchsorted(ids, dst)
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    key = np.unique(lo * n0 + hi)
-    lo, hi = key // n0, key % n0
+    key = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst))
+    indptr, indices = _csr_from_pairs(key // n, key % n, n)
 
-    # largest connected component
-    both_src = np.concatenate([lo, hi])
-    both_dst = np.concatenate([hi, lo])
-    counts = np.bincount(both_src, minlength=n0)
-    indptr0 = np.zeros(n0 + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr0[1:])
-    order = np.argsort(both_src, kind="stable")
-    adj0 = csr_matrix(
-        (np.ones(both_dst.size, dtype=np.int8), both_dst[order], indptr0), shape=(n0, n0)
-    )
-    n_comp, comp = connected_components(adj0, directed=False)
+    n_comp, comp = _components(indptr, indices, n)
     if n_comp > 1:
-        sizes = np.bincount(comp)
-        keep_comp = int(np.argmax(sizes))  # ties: smallest component label
-        node_keep = comp == keep_comp
-        edge_keep = node_keep[lo]  # endpoints share a component
-        lo, hi = lo[edge_keep], hi[edge_keep]
-        remap = np.cumsum(node_keep) - 1
-        lo, hi = remap[lo], remap[hi]
-        ids = ids[node_keep]
-
-    n = ids.size
-    both_src = np.concatenate([lo, hi])
-    both_dst = np.concatenate([hi, lo])
-    order = np.lexsort((both_dst, both_src))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(both_src, minlength=n), out=indptr[1:])
+        # keep the largest component (ties: smallest label); components are
+        # closed, so masking entries by destination keeps exactly its rows
+        keep = comp == np.argmax(np.bincount(comp))
+        remap = np.cumsum(keep) - 1
+        degrees = np.diff(indptr)[keep]
+        indices = remap[indices[keep[indices]]]
+        indptr = np.zeros(degrees.size + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        ids = ids[keep]
     return LabeledGraph(
-        indptr, both_dst[order], np.zeros(n, dtype=bool), ALL_PUBLIC, orig_ids=ids
+        indptr, indices, np.zeros(ids.size, dtype=bool), ALL_PUBLIC, orig_ids=ids
     )
 
 

@@ -131,10 +131,9 @@ def expected_error_inequalities(g: LabeledGraph, p: float) -> tuple[bool, bool]:
     d_avg = g.avg_degree
 
     size_ok = abs(n - ee.expected_size_proposed) <= abs(n - ee.expected_cluster_size)
-
-    # ratio-of-expectations targets: proposed (1-p)^2 D / ((1-p)^2 n) = d_avg,
-    # prior (1-p)^2 D / ((1-p) n) = (1-p) d_avg
-    avg_ok = abs(d_avg - d_avg) <= abs(d_avg - (1.0 - p) * d_avg)
+    avg_ok = abs(d_avg - ee.expected_avg_degree_proposed) <= abs(
+        d_avg - ee.expected_avg_degree_prior
+    )
     return size_ok, avg_ok
 
 

@@ -120,6 +120,12 @@ def stationary_distribution(view: PublicClusterView) -> np.ndarray:
     return view.public_degree / float(view.public_degree_sum)
 
 
+def pick_seed_node(view: PublicClusterView, rng_seed) -> int:
+    """Uniform member of the cluster, drawn from ``default_rng(rng_seed)``."""
+    members = view.members
+    return int(members[np.random.default_rng(rng_seed).integers(members.size)])
+
+
 _RAND_BLOCK = 1 << 14
 
 
@@ -175,6 +181,8 @@ def run_walk(
         )
     if r < 1:
         raise ValueError("walk length must be at least 1")
+    if not 0 <= seed_node < g.node_count:
+        raise GraphError(f"seed node {seed_node} is outside 0..{g.node_count - 1}")
     if view is None:
         view = largest_public_cluster(g)
     if g.is_private[seed_node]:

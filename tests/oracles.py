@@ -4,15 +4,20 @@ Everything here is deliberately naive: flood fill instead of sparse
 component labeling, literal double loops instead of prefix sums, power
 iteration instead of closed forms, exhaustive label enumeration instead
 of moment algebra, and a walk that charges its queries one at a time
-through the access facade. Slow but obviously correct.
+through the access facade. Slow but obviously correct. The two graph
+builders take the plain routes: a per-edge ``set`` loop, and an edge-list
+pipeline that sorts its CSR again after keeping the largest component.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from privwalk import (
     AccessModel,
+    GraphError,
     PubdegMode,
     QueryLedger,
     SelectionCounters,
@@ -47,6 +52,99 @@ def flood_fill_public_clusters(edges, is_private) -> list[set[int]]:
                     stack.append(w)
         clusters.append(comp)
     return clusters
+
+
+def reference_build_graph(edges, n: int, drop_duplicates: bool = False):
+    """``build_graph``'s adjacency as ``(indptr, indices)``, one edge at a time.
+
+    Raises :class:`GraphError` for the first bad edge in input order, and
+    for an empty or disconnected graph.
+    """
+    if n == 0:
+        raise GraphError("graph needs at least one node")
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) references a node outside 0..{n - 1}")
+        if u == v:
+            if drop_duplicates:
+                continue
+            raise GraphError(f"self-loop at node {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            if drop_duplicates:
+                continue
+            raise GraphError(f"duplicate edge ({u}, {v})")
+        seen.add(key)
+    if not seen:
+        raise GraphError("edge list must be non-empty")
+
+    pairs = np.array(sorted(seen), dtype=np.int64)
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+
+    adj = csr_matrix((np.ones(dst.size, dtype=np.int8), dst, indptr), shape=(n, n))
+    n_comp, _ = connected_components(adj, directed=False)
+    if n_comp != 1:
+        raise GraphError(f"graph is not connected ({n_comp} components)")
+    return indptr, dst
+
+
+def reference_edge_list(pairs):
+    """``load_edge_list``'s ``(indptr, indices, orig_ids)`` for parsed ``(src, dst)`` pairs.
+
+    Drops self-loops, renumbers densely, deduplicates undirected edges,
+    keeps the largest component (ties: the one holding the smallest id)
+    and sorts the CSR again after the restriction. Returns None when no
+    edge is left.
+    """
+    pairs = [(u, v) for u, v in pairs if u != v]
+    if not pairs:
+        return None
+    src = np.array([u for u, _ in pairs], dtype=np.int64)
+    dst = np.array([v for _, v in pairs], dtype=np.int64)
+
+    ids = np.unique(np.concatenate([src, dst]))
+    n0 = ids.size
+    src = np.searchsorted(ids, src)
+    dst = np.searchsorted(ids, dst)
+    lo = np.minimum(src, dst)
+    hi = np.maximum(src, dst)
+    key = np.unique(lo * n0 + hi)
+    lo, hi = key // n0, key % n0
+
+    both_src = np.concatenate([lo, hi])
+    both_dst = np.concatenate([hi, lo])
+    counts = np.bincount(both_src, minlength=n0)
+    indptr0 = np.zeros(n0 + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr0[1:])
+    order = np.argsort(both_src, kind="stable")
+    adj0 = csr_matrix(
+        (np.ones(both_dst.size, dtype=np.int8), both_dst[order], indptr0), shape=(n0, n0)
+    )
+    n_comp, comp = connected_components(adj0, directed=False)
+    if n_comp > 1:
+        sizes = np.bincount(comp)
+        keep_comp = int(np.argmax(sizes))
+        node_keep = comp == keep_comp
+        edge_keep = node_keep[lo]
+        lo, hi = lo[edge_keep], hi[edge_keep]
+        remap = np.cumsum(node_keep) - 1
+        lo, hi = remap[lo], remap[hi]
+        ids = ids[node_keep]
+
+    n = ids.size
+    both_src = np.concatenate([lo, hi])
+    both_dst = np.concatenate([hi, lo])
+    order = np.lexsort((both_dst, both_src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(both_src, minlength=n), out=indptr[1:])
+    return indptr, both_dst[order], ids
 
 
 def naive_pair_stats(nodes, degrees, pubdegs, m):

@@ -34,7 +34,6 @@ from privwalk import (
     build_report,
     convergence_values,
     expected_error_inequalities,
-    estimate_privacy_rate,
     public_count_moments,
     expected_errors,
     expected_query_ratios,
@@ -348,7 +347,7 @@ def test_criterion_10_dataset_reproduction():
     rec = load_sample_records(_data_file("kurant-facebook-samples.txt"))
     assert rec.r == 1_016_275, f"sample file has {rec.r} records"
     rep = build_report(rec, 25_407)
-    p_size, p_avg = estimate_privacy_rate(rep)
+    p_size, p_avg = rep.privacy_rate_size, rep.privacy_rate_avg_degree
     ok &= abs(rep.size_nc - 480_298_540.0) <= 0.05
     ok &= abs(rep.size_proposed - 656_874_080.9) <= 0.05
     ok &= abs(rep.avg_degree_smooth - 102.07) <= 0.005

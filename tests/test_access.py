@@ -23,18 +23,19 @@ def test_ideal_report_carries_labels(fixture_graph):
     rep = query_node(fixture_graph, 4, AccessModel.IDEAL, ledger)
     assert rep.model is AccessModel.IDEAL
     assert rep.degree == 4
-    assert dict(rep.entries) == {3: "public", 5: "public", 6: "public", 8: "public"}
+    assert list(rep.neighbor_ids) == [3, 5, 6, 8]
+    assert list(rep.neighbor_private) == [False] * 4
     assert ledger.raw_queries == 1
 
     rep3 = query_node(fixture_graph, 3, AccessModel.IDEAL, ledger)
-    assert dict(rep3.entries) == {1: "private", 4: "public"}
+    assert list(rep3.neighbor_ids) == [1, 4]
+    assert list(rep3.neighbor_private) == [True, False]
 
 
 def test_hidden_report_hides_labels(fixture_graph):
     rep = query_node(fixture_graph, 3, AccessModel.HIDDEN)
     assert rep.neighbor_private is None
-    assert [u for u, flag in rep.entries] == [1, 4]
-    assert all(flag is None for _, flag in rep.entries)
+    assert list(rep.neighbor_ids) == [1, 4]
 
 
 def test_private_node_rejects_query_but_charges(fixture_graph):

@@ -6,7 +6,6 @@ from oracles import naive_pair_stats, outer_pair_stats
 
 from privwalk import (
     AccessModel,
-    EstimateReport,
     NoCollisionError,
     PubdegMode,
     WalkRecord,
@@ -15,7 +14,6 @@ from privwalk import (
     build_graph,
     build_report,
     default_gap_threshold,
-    estimate_privacy_rate,
     largest_public_cluster,
     run_walk,
     size_estimates,
@@ -36,6 +34,10 @@ def test_default_gap_threshold():
     assert default_gap_threshold(1000) == 25
     assert default_gap_threshold(10) == 1
     assert default_gap_threshold(41) == 2
+    # clamped to 1..r-1
+    assert default_gap_threshold(10, 1.0) == 9
+    assert default_gap_threshold(2, 0.9) == 1
+    assert default_gap_threshold(1) == 1
 
 
 def test_constant_record_collapses_to_unit_statistics():
@@ -159,20 +161,10 @@ def test_size_estimates_converge_on_fixture(fixture_graph):
 
 
 def test_privacy_rate_zero_when_routes_match():
-    rep = EstimateReport(
-        collision_mean=0.1,
-        weight_mean_prior=1.0,
-        weight_mean_proposed=1.0,
-        size_nc=10.0,
-        size_proposed=10.0,
-        avg_degree_smooth=3.0,
-        avg_degree_proposed=3.0,
-        privacy_rate_size=0.0,
-        privacy_rate_avg_degree=0.0,
-        gap_threshold=1,
-        sample_count=100,
-    )
-    assert estimate_privacy_rate(rep) == (0.0, 0.0)
+    # every public degree equals the degree: both routes give equal estimates
+    degs = [3, 2, 3, 4, 2, 3]
+    rep = build_report(_record([1, 2, 1, 3, 2, 1], degs, degs), 1)
+    assert (rep.privacy_rate_size, rep.privacy_rate_avg_degree) == (0.0, 0.0)
 
 
 def test_privacy_rate_recovers_label_rate():
@@ -189,9 +181,8 @@ def test_privacy_rate_recovers_label_rate():
         view=view,
     )
     rep = build_report(rec)
-    p_size, p_avg = estimate_privacy_rate(rep)
-    assert p_size == pytest.approx(0.3, abs=0.08)
-    assert p_avg == pytest.approx(0.3, abs=0.08)
+    assert rep.privacy_rate_size == pytest.approx(0.3, abs=0.08)
+    assert rep.privacy_rate_avg_degree == pytest.approx(0.3, abs=0.08)
 
 
 def test_build_report_defaults_and_fields(fixture_graph):
@@ -203,6 +194,5 @@ def test_build_report_defaults_and_fields(fixture_graph):
     assert rep.sample_count == 400
     est = size_estimates(rec, rep.gap_threshold)
     assert rep.size_nc == est.size_nc
-    p_size, p_avg = estimate_privacy_rate(rep)
-    assert rep.privacy_rate_size == p_size
-    assert rep.privacy_rate_avg_degree == p_avg
+    assert rep.privacy_rate_size == 1.0 - rep.size_nc / rep.size_proposed
+    assert rep.privacy_rate_avg_degree == 1.0 - rep.avg_degree_smooth / rep.avg_degree_proposed

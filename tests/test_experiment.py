@@ -43,8 +43,7 @@ def test_load_config_full(tmp_path):
         "outdir = out\n"
         "nrmse_target = convergence\n"
         "count_visit_queries = yes\n"
-        "workers = 2\n"
-        "directed = true\n",
+        "workers = 2\n",
     )
     cfg = load_config(f)
     assert cfg.dataset == "graph.txt"
@@ -54,7 +53,7 @@ def test_load_config_full(tmp_path):
     assert cfg.sample_fractions == (0.01, 0.1)
     assert cfg.sample_sizes is None
     assert cfg.trials == 12 and cfg.base_seed == 9 and cfg.workers == 2
-    assert cfg.count_visit_queries and cfg.directed_input
+    assert cfg.count_visit_queries
     assert cfg.nrmse_target == "convergence"
 
 
@@ -77,7 +76,7 @@ def test_load_config_errors(tmp_path):
     with pytest.raises(ValueError, match="label_file"):
         load_config(_write_config(tmp_path, "dataset = g\nlabels = file\n"))
     with pytest.raises(ValueError, match="true/false"):
-        load_config(_write_config(tmp_path, "dataset = g\ndirected = maybe\n"))
+        load_config(_write_config(tmp_path, "dataset = g\ncount_visit_queries = maybe\n"))
     with pytest.raises(ValueError, match="key = value"):
         load_config(_write_config(tmp_path, "dataset g\n"))
 
@@ -94,6 +93,7 @@ def test_load_config_errors(tmp_path):
         ("m_fraction = 1.2", r"m_fraction must lie in \(0, 1\]"),
         ("p_grid = 0.5, 1.5", r"p_grid values must lie in \[0, 1\]"),
         ("p_grid = 0:0.3:0", "p_grid: grid '0:0.3:0': step must be non-zero"),
+        ("model = ideal", "pubdeg_mode = approx_hidden requires model = hidden, got model = ideal"),
     ],
 )
 def test_load_config_rejects_out_of_range_values(tmp_path, line, message):
@@ -139,6 +139,37 @@ def test_cli_rejects_bad_grids(tmp_path, capsys, grid):
     err = capsys.readouterr().err
     assert err.startswith("error: grid ") and err.count("\n") == 1
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["walk", "{edges}", "--length", "10", "--seed-node", "99"], "seed node 99 is outside 0..3"),
+        (["walk", "{edges}", "--length", "10", "--seed-node", "-1"], "seed node -1 is outside 0..3"),
+        (["walk", "{edges}", "--length", "0"], "walk length must be at least 1"),
+        (["walk", "{edges}", "--fraction", "-1"], "--fraction must lie in (0, 1], got -1.0"),
+        (["walk", "{edges}", "--fraction", "1.5"], "--fraction must lie in (0, 1], got 1.5"),
+        (["estimate", "{samples}", "--m-fraction", "0"], "--m-fraction must lie in (0, 1], got 0.0"),
+        (["estimate", "{samples}", "--m-fraction", "-3"], "--m-fraction must lie in (0, 1], got -3.0"),
+    ],
+)
+def test_cli_rejects_bad_walk_and_estimate_args(tmp_path, capsys, argv, message):
+    from privwalk.cli import main
+
+    paths = {"edges": tmp_path / "edges.txt", "samples": tmp_path / "samples.txt"}
+    write_edge_file(paths["edges"], [(0, 1), (1, 2), (2, 3)])
+    paths["samples"].write_text("5 3 2.0\n7 2 2.0\n5 3 2.0\n")
+    assert main([a.format(**paths) for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_m_fraction_one_clamps_to_r_minus_one(tmp_path, capsys):
+    from privwalk.cli import main
+
+    samples = tmp_path / "samples.txt"
+    samples.write_text("5 3 2.0\n7 2 2.0\n5 3 2.0\n")
+    assert main(["estimate", str(samples), "--m-fraction", "1"]) == 0
+    assert "gap_threshold 2\n" in capsys.readouterr().out
 
 
 def _cfg(tmp_path, **kw):

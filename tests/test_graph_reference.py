@@ -1,0 +1,102 @@
+"""The CSR builders against the per-edge and two-sort references, on random inputs."""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import reference_build_graph, reference_edge_list
+
+from privwalk import GraphError, IngestError, build_graph, load_edge_list
+
+
+def _same_array(got, ref):
+    assert got.dtype == ref.dtype
+    assert np.array_equal(got, ref)
+
+
+def _repeats(draw, edges):
+    """Some of ``edges`` again, each reversed or not."""
+    if not edges:
+        return []
+    picked = draw(st.lists(st.sampled_from(edges), max_size=4))
+    return [(v, u) if draw(st.booleans()) else (u, v) for u, v in picked]
+
+
+@st.composite
+def noisy_edge_lists(draw):
+    """Edges over ``0..n-1``: a spanning path or not, extra edges, in random order.
+
+    Noisy extra edges may repeat, reverse or loop; clean ones never do.
+    Either kind may get an id just outside the range.
+    """
+    n = draw(st.integers(0, 25))
+    edges = []
+    if n > 1 and draw(st.booleans()):
+        for v in range(1, n):
+            edges.append((v - 1, v) if draw(st.booleans()) else (v, v - 1))
+    node = st.integers(0, max(n - 1, 0))
+    if n and draw(st.booleans()):
+        edges += draw(st.lists(st.tuples(node, node), max_size=2 * n))
+        edges += _repeats(draw, edges)
+    elif n:
+        off_path = st.tuples(node, node).filter(lambda e: abs(e[0] - e[1]) > 1)
+        edges += draw(st.lists(off_path, max_size=2 * n, unique_by=lambda e: (min(e), max(e))))
+    if draw(st.integers(0, 3)) == 0:
+        stray = st.tuples(st.sampled_from((-2, -1, n, n + 1)), node | st.sampled_from((-1, n)))
+        edges.append(draw(stray | stray.map(lambda e: e[::-1])))
+    edges = draw(st.permutations(edges))
+    return n, edges, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(noisy_edge_lists())
+def test_build_graph_matches_set_loop_reference(case):
+    n, edges, drop = case
+    try:
+        ref = reference_build_graph(edges, n, drop_duplicates=drop)
+    except GraphError as e:
+        ref = e
+    try:
+        g = build_graph(edges, [False] * n, drop_duplicates=drop)
+    except GraphError as e:
+        assert isinstance(ref, GraphError), f"unexpected {e!r}"
+        assert str(e) == str(ref)
+        return
+    assert not isinstance(ref, GraphError), f"missed {ref!r}"
+    _same_array(g.indptr, ref[0])
+    _same_array(g.indices, ref[1])
+    assert g.orig_ids is None
+
+
+@st.composite
+def edge_files(draw):
+    """Parsed ``(src, dst)`` lines over sparse ids: usually several components,
+    with reversed and repeated edges and self-loops."""
+    node = st.integers(-3, 40)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=40))
+    pairs += [(v, v) for v in draw(st.lists(node, max_size=3))]
+    pairs += _repeats(draw, pairs)
+    return draw(st.permutations(pairs))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(edge_files())
+def test_load_edge_list_matches_two_sort_reference(pairs):
+    ref = reference_edge_list(pairs)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in pairs))
+        if ref is None:
+            try:
+                load_edge_list(path)
+            except IngestError as e:
+                assert str(e) == f"{path}: no edges found"
+                return
+            raise AssertionError("expected 'no edges found'")
+        g = load_edge_list(path)
+    _same_array(g.indptr, ref[0])
+    _same_array(g.indices, ref[1])
+    _same_array(g.orig_ids, ref[2])

@@ -68,12 +68,6 @@ def test_preprocessing_is_idempotent(tmp_path):
     assert np.array_equal(g2.indices, g1.indices)
 
 
-def test_directed_input_merges_arcs(tmp_path):
-    f = _write(tmp_path / "arcs.txt", "0 1\n1 0\n1 2\n")
-    g = load_edge_list(f, directed_input=True)
-    assert g.edge_count == 2
-
-
 def test_reverse_duplicate_without_directed_flag_still_collapses(tmp_path):
     # undirected reading canonicalizes both orders to one edge
     f = _write(tmp_path / "e.txt", "0 1\n1 0\n1 2\n")

@@ -126,6 +126,24 @@ def test_error_dominance_holds_across_graphs():
             assert size_ok and avg_ok
 
 
+def test_avg_degree_flag_reads_the_expected_targets(monkeypatch):
+    import dataclasses
+
+    import privwalk.theory as theory
+
+    g = build_graph(random_connected_edges(40, 80, seed=8), [False] * 40)
+    real = theory.expected_errors
+
+    def off_target(g, p):
+        # a proposed target farther from the average degree than the prior's
+        ee = real(g, p)
+        return dataclasses.replace(ee, expected_avg_degree_proposed=3 * ee.expected_avg_degree_proposed)
+
+    monkeypatch.setattr(theory, "expected_errors", off_target)
+    size_ok, avg_ok = expected_error_inequalities(g, 0.3)
+    assert size_ok and not avg_ok
+
+
 def test_report_rows_columns_and_monotone_size():
     g = build_graph(random_connected_edges(200, 500, seed=7), [False] * 200)
     ps = [0.0, 0.25, 0.5, 0.75]

@@ -37,6 +37,10 @@ def test_seed_validation(fixture_graph):
         run_walk(fixture_graph, AccessModel.IDEAL, 7, 5, PubdegMode.EXACT_IDEAL, 0)
     with pytest.raises(ValueError):
         run_walk(fixture_graph, AccessModel.IDEAL, 4, 0, PubdegMode.EXACT_IDEAL, 0)
+    n = fixture_graph.node_count
+    for v in (-1, n):
+        with pytest.raises(GraphError, match=rf"^seed node {v} is outside 0\.\.{n - 1}$"):
+            run_walk(fixture_graph, AccessModel.IDEAL, v, 5, PubdegMode.EXACT_IDEAL, 0)
 
 
 def test_mode_and_model_must_agree(fixture_graph):
