@@ -16,8 +16,9 @@ sampling, at the price of converging to a slightly rescaled target.
 Both average-degree estimators are harmonic sample means: the prior one
 over public degrees, the proposed one over plain degrees.
 
-All pair sums run in O(r log r) via prefix sums over the banded index
-set; results match the literal O(r^2) double loop to within rounding.
+The collision count is one sort of (node, position) keys plus one
+``searchsorted``. The weight sums are prefix sums over the banded index
+set and match the literal O(r^2) double loop to within rounding.
 """
 
 from __future__ import annotations
@@ -77,19 +78,27 @@ def _pair_count(r: int, m: int) -> int:
 
 
 def _collision_pairs(nodes: np.ndarray, m: int) -> int:
-    """Count ordered index pairs with equal nodes and gap >= m."""
-    order = np.argsort(nodes, kind="stable")  # ties keep ascending positions
-    svals = nodes[order]
-    change = np.nonzero(np.diff(svals))[0] + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [svals.size]))
-    total = 0
-    for s, e in zip(starts, ends):
-        if e - s < 2:
-            continue
-        pos = order[s:e]
-        total += int(np.searchsorted(pos, pos - m, side="right").sum())
-    return 2 * total
+    """Count ordered index pairs with equal nodes and gap >= m.
+
+    Sample k becomes the key ``id_k * r + k``, where ``id_k`` is the node
+    minus the smallest node, or the node's dense rank when the largest key,
+    ``(max - min + 1) * r - 1`` in Python ints, would not fit in int64.
+    One sort groups the keys by node in position order, and one
+    ``searchsorted`` counts each key's partners m or more positions back.
+    """
+    r = nodes.size
+    lo, hi = int(nodes.min()), int(nodes.max())
+    if (hi - lo + 1) * r <= 2**63:
+        key = np.subtract(nodes, lo, dtype=np.int64)
+    else:
+        key = np.unique(nodes, return_inverse=True)[1]
+    key = np.sort(key * r + np.arange(r))  # keys are unique: stability is moot
+    run_start = np.arange(r)
+    run_start[1:][np.diff(key // r) == 0] = 0
+    np.maximum.accumulate(run_start, out=run_start)
+    # a position below m searches below its run start and is clipped to 0
+    below = np.searchsorted(key, key - m, side="right") - run_start
+    return 2 * int(below[below > 0].sum())
 
 
 def size_estimates(record: WalkRecord, m: int) -> SizeEstimates:
@@ -101,7 +110,7 @@ def size_estimates(record: WalkRecord, m: int) -> SizeEstimates:
     if not 1 <= m < r:
         raise ValueError(f"gap threshold must satisfy 1 <= m < r, got m={m}, r={r}")
     dstar = record.public_degrees
-    if np.any(dstar <= 0):
+    if not np.all(dstar > 0):
         raise ValueError("every sample needs a positive public-degree value")
     d = record.degrees.astype(np.float64)
 
@@ -129,10 +138,10 @@ def size_estimates(record: WalkRecord, m: int) -> SizeEstimates:
 
 def avg_degree_estimates(record: WalkRecord) -> tuple[float, float]:
     """Harmonic-mean average-degree estimates: (prior, proposed)."""
-    if np.any(record.degrees <= 0):
+    if not np.all(record.degrees > 0):
         raise ValueError("every sample needs a positive degree")
     dstar = record.public_degrees
-    if np.any(dstar <= 0):
+    if not np.all(dstar > 0):
         raise ValueError("every sample needs a positive public-degree value")
     r = record.r
     smooth = r / float(np.sum(1.0 / dstar))
@@ -147,7 +156,7 @@ def build_report(record: WalkRecord, m: int | None = None) -> EstimateReport:
         m = default_gap_threshold(record.r)
     size = size_estimates(record, m)
     smooth, proposed = avg_degree_estimates(record)
-    report = EstimateReport(
+    return EstimateReport(
         collision_mean=size.collision_mean,
         weight_mean_prior=size.weight_mean_prior,
         weight_mean_proposed=size.weight_mean_proposed,
@@ -160,4 +169,3 @@ def build_report(record: WalkRecord, m: int | None = None) -> EstimateReport:
         gap_threshold=m,
         sample_count=record.r,
     )
-    return report

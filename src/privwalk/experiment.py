@@ -118,6 +118,17 @@ def load_config(path) -> ExperimentConfig:
             raise ValueError(f"{path}: {key} must be true/false, got {token!r}")
         return _BOOL_TOKENS[token]
 
+    def pop_value(key: str, default: str, convert, expected: str):
+        token = raw.pop(key, default)
+        try:
+            return convert(token)
+        except ValueError:
+            raise ValueError(f"{path}: {key}: expected {expected}, got {token!r}") from None
+
+    def pop_enum(key: str, default: str, enum):
+        allowed = ", ".join(e.value for e in enum)
+        return pop_value(key, default, enum, f"one of {allowed}")
+
     def pop_grid(key: str, default: str) -> tuple[float, ...]:
         try:
             return _parse_floats(raw.pop(key, default))
@@ -131,24 +142,25 @@ def load_config(path) -> ExperimentConfig:
         labels=raw.pop("labels", "bernoulli"),
         label_file=raw.pop("label_file", None),
         p_grid=pop_grid("p_grid", "0.0"),
-        model=AccessModel(raw.pop("model", "hidden")),
-        pubdeg_mode=PubdegMode(raw.pop("pubdeg_mode", "approx_hidden")),
+        model=pop_enum("model", "hidden", AccessModel),
+        pubdeg_mode=pop_enum("pubdeg_mode", "approx_hidden", PubdegMode),
         sample_fractions=(
             pop_grid("sample_fraction", "") if "sample_fraction" in raw else None
         ),
         sample_sizes=(
-            tuple(int(t) for t in raw.pop("sample_size").split(","))
+            pop_value("sample_size", "", lambda t: tuple(int(x) for x in t.split(",")),
+                      "comma-separated integers")
             if "sample_size" in raw
             else None
         ),
-        m_fraction=float(raw.pop("m_fraction", "0.025")),
-        trials=int(raw.pop("trials", "1000")),
-        base_seed=int(raw.pop("base_seed", "1")),
+        m_fraction=pop_value("m_fraction", "0.025", float, "a number"),
+        trials=pop_value("trials", "1000", int, "an integer"),
+        base_seed=pop_value("base_seed", "1", int, "an integer"),
         outdir=raw.pop("outdir", "results"),
         nrmse_target=raw.pop("nrmse_target", "estimates"),
         count_visit_queries=pop_bool("count_visit_queries", False),
         census_memoize=pop_bool("census_memoize", False),
-        workers=int(raw.pop("workers", "1")),
+        workers=pop_value("workers", "1", int, "an integer"),
     )
     if cfg.sample_fractions is None and cfg.sample_sizes is None:
         cfg = replace(cfg, sample_fractions=(0.01,))

@@ -33,12 +33,23 @@ def _data_lines(path):
             yield lineno, s
 
 
+def _beyond_int64(path, columns) -> IngestError:
+    """The error for the first data line whose ``columns(parts)`` integers
+    lie outside int64; the loaders call this only after NumPy overflowed."""
+    for lineno, s in _data_lines(path):
+        for token in columns(s.split()):
+            if not -(2**63) <= int(token) < 2**63:
+                return IngestError(f"{path}: line {lineno}: {token} is outside the int64 range")
+    return IngestError(f"{path}: an integer is outside the int64 range")
+
+
 def load_edge_list(path) -> LabeledGraph:
     """Load and preprocess a whitespace-separated ``src dst`` edge list.
 
     Lines starting with ``#`` or ``%`` are comments. Extra columns after
     the first two (weights, timestamps) are ignored. Directions are
-    removed, so ``u v`` and ``v u`` are the same edge.
+    removed, so ``u v`` and ``v u`` are the same edge. Ids must fit in
+    int64.
 
     The returned graph is all-public, connected (largest component),
     densely renumbered, with the original ids in ``graph.orig_ids``.
@@ -62,8 +73,14 @@ def load_edge_list(path) -> LabeledGraph:
     if not srcs:
         raise IngestError(f"{path}: no edges found")
 
-    src = np.asarray(srcs, dtype=np.int64)
-    dst = np.asarray(dsts, dtype=np.int64)
+    try:
+        src = np.asarray(srcs, dtype=np.int64)
+        dst = np.asarray(dsts, dtype=np.int64)
+    except OverflowError:
+        # self-loop lines were dropped above, so they cannot have overflowed
+        raise _beyond_int64(
+            path, lambda parts: () if int(parts[0]) == int(parts[1]) else parts[:2]
+        ) from None
 
     # dense id space, then canonical undirected dedup
     ids = np.unique(np.concatenate([src, dst]))
@@ -151,8 +168,9 @@ def load_sample_records(path) -> WalkRecord:
 
     Accepts two layouts per line: ``id degree public_degree`` or the walk
     dump format ``index id degree public_degree``. Public degrees may be
-    fractional but can never exceed the degree. The record is treated as
-    exact hidden-model output; it carries no query ledger.
+    fractional but must be finite and can never exceed the degree. Ids
+    and degrees must fit in int64. The record is treated as exact
+    hidden-model output; it carries no query ledger.
     """
     nodes: list[int] = []
     degrees: list[int] = []
@@ -171,20 +189,27 @@ def load_sample_records(path) -> WalkRecord:
             ds = float(parts[2])
         except ValueError:
             raise IngestError(f"{path}: line {lineno}: malformed sample {s!r}") from None
-        if d < 0 or ds < 0:
-            raise IngestError(f"{path}: line {lineno}: negative degree value")
-        if ds > d:
-            raise IngestError(
-                f"{path}: line {lineno}: public degree {ds} exceeds degree {d}"
-            )
+        if not (d >= 0 and 0 <= ds <= d):  # NaN fails every comparison
+            if d < 0 or ds < 0:
+                raise IngestError(f"{path}: line {lineno}: negative degree value")
+            if ds > d:
+                raise IngestError(
+                    f"{path}: line {lineno}: public degree {ds} exceeds degree {d}"
+                )
+            raise IngestError(f"{path}: line {lineno}: non-finite public degree {ds}")
         nodes.append(v)
         degrees.append(d)
         pubdegs.append(ds)
     if not nodes:
         raise IngestError(f"{path}: no samples found")
+    try:
+        node_arr = np.asarray(nodes, dtype=np.int64)
+        degree_arr = np.asarray(degrees, dtype=np.int64)
+    except OverflowError:
+        raise _beyond_int64(path, lambda parts: parts[-3:-1]) from None
     return WalkRecord(
-        np.asarray(nodes, dtype=np.int64),
-        np.asarray(degrees, dtype=np.int64),
+        node_arr,
+        degree_arr,
         np.asarray(pubdegs, dtype=np.float64),
         PubdegMode.EXACT_HIDDEN,
         ledger=None,

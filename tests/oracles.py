@@ -7,6 +7,7 @@ of moment algebra, and a walk that charges its queries one at a time
 through the access facade. Slow but obviously correct. The two graph
 builders take the plain routes: a per-edge ``set`` loop, and an edge-list
 pipeline that sorts its CSR again after keeping the largest component.
+The collision count loops over nodes with one small search per node.
 """
 
 from __future__ import annotations
@@ -170,6 +171,28 @@ def naive_pair_stats(nodes, degrees, pubdegs, m):
     if count == 0:
         return 0, float("nan"), float("nan"), float("nan")
     return count, coll / count, psi / count, psi_hat / count
+
+
+def reference_collision_pairs(nodes, m: int) -> int:
+    """Ordered index pairs with equal nodes and gap >= m, one node at a time.
+
+    A stable sort groups each node's positions in ascending order, then a
+    per-node ``searchsorted`` counts each position's partners m or more
+    positions back.
+    """
+    nodes = np.asarray(nodes)
+    order = np.argsort(nodes, kind="stable")  # ties keep ascending positions
+    svals = nodes[order]
+    change = np.nonzero(np.diff(svals))[0] + 1
+    starts = np.concatenate(([0], change))
+    ends = np.concatenate((change, [svals.size]))
+    total = 0
+    for s, e in zip(starts, ends):
+        if e - s < 2:
+            continue
+        pos = order[s:e]
+        total += int(np.searchsorted(pos, pos - m, side="right").sum())
+    return 2 * total
 
 
 def outer_pair_stats(nodes, degrees, pubdegs, m):

@@ -67,11 +67,12 @@ def test_gap_threshold_validation():
 
 
 def test_nonpositive_public_degree_rejected():
-    rec = _record([1, 2, 1], [2, 2, 2], [2.0, 0.0, 2.0])
-    with pytest.raises(ValueError):
-        size_estimates(rec, 1)
-    with pytest.raises(ValueError):
-        avg_degree_estimates(rec)
+    for bad in (0.0, -1.0, float("nan")):  # NaN fails every comparison
+        rec = _record([1, 2, 1], [2, 2, 2], [2.0, bad, 2.0])
+        with pytest.raises(ValueError, match="positive public-degree"):
+            size_estimates(rec, 1)
+        with pytest.raises(ValueError, match="positive public-degree"):
+            avg_degree_estimates(rec)
 
 
 def test_gap_excludes_near_pairs():

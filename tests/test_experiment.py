@@ -94,6 +94,14 @@ def test_load_config_errors(tmp_path):
         ("p_grid = 0.5, 1.5", r"p_grid values must lie in \[0, 1\]"),
         ("p_grid = 0:0.3:0", "p_grid: grid '0:0.3:0': step must be non-zero"),
         ("model = ideal", "pubdeg_mode = approx_hidden requires model = hidden, got model = ideal"),
+        ("trials = ten", "trials: expected an integer, got 'ten'"),
+        ("workers = 2.0", "workers: expected an integer, got '2.0'"),
+        ("base_seed = one", "base_seed: expected an integer, got 'one'"),
+        ("m_fraction = half", "m_fraction: expected a number, got 'half'"),
+        ("sample_size = 100, x", "sample_size: expected comma-separated integers, got '100, x'"),
+        ("model = hiden", "model: expected one of ideal, hidden, got 'hiden'"),
+        ("pubdeg_mode = aprox",
+         "pubdeg_mode: expected one of exact_ideal, exact_hidden, approx_hidden, got 'aprox'"),
     ],
 )
 def test_load_config_rejects_out_of_range_values(tmp_path, line, message):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,34 @@ def test_bad_edge_line_reports_lineno(tmp_path):
         load_edge_list(f2)
 
 
+@pytest.mark.parametrize("big", ["18446744073709551617", "9223372036854775808",
+                                 "-9223372036854775809"])
+def test_ids_beyond_int64_are_rejected_with_the_line(tmp_path, capsys, big):
+    from privwalk.cli import main
+
+    edges = _write(tmp_path / "e.txt", f"# ids\n0 1\n{big} {big}\n1 2\n2 {big}\n")
+    samples = _write(tmp_path / "s.txt", f"1 5 3 2.0\n2 {big} 4 1.0\n3 5 3 2.0\n")
+    degree = big.lstrip("-")  # a negative degree is rejected as negative first
+    degrees = _write(tmp_path / "d.txt", f"5 3 2.0\n5 {degree} 1.0\n")
+    for load, f, line, token in ((load_edge_list, edges, 5, big),
+                                 (load_sample_records, samples, 2, big),
+                                 (load_sample_records, degrees, 2, degree)):
+        with pytest.raises(IngestError, match=f"^{re.escape(str(f))}: line {line}: {token} is"):
+            load(f)
+    for argv, f, line in ((["ingest"], edges, 5), (["estimate"], samples, 2)):
+        assert main([*argv, str(f)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {f}: line {line}: {big} is outside the int64 range\n"
+
+
+def test_int64_extremes_still_load(tmp_path):
+    lo, hi = -(2**63), 2**63 - 1
+    g = load_edge_list(_write(tmp_path / "e.txt", f"{lo} {hi}\n{hi} 0\n"))
+    assert list(g.orig_ids) == [lo, 0, hi]
+    rec = load_sample_records(_write(tmp_path / "s.txt", f"{lo} 2 1.0\n{hi} 3 1.0\n"))
+    assert list(rec.nodes) == [lo, hi]
+
+
 def test_empty_edge_list_is_an_error(tmp_path):
     f = _write(tmp_path / "edges.txt", "# nothing here\n")
     with pytest.raises(IngestError, match="no edges"):
@@ -151,3 +181,10 @@ def test_sample_records_validation(tmp_path):
         load_sample_records(_write(tmp_path / "c.txt", "# empty\n"))
     with pytest.raises(IngestError, match="line 1"):
         load_sample_records(_write(tmp_path / "d.txt", "5 3\n"))
+    with pytest.raises(IngestError, match="line 2: negative degree value"):
+        load_sample_records(_write(tmp_path / "e.txt", "5 3 3.0\n5 -1 0.0\n"))
+    with pytest.raises(IngestError, match="line 1: public degree inf exceeds degree 3"):
+        load_sample_records(_write(tmp_path / "f.txt", "5 3 inf\n"))
+    for token in ("nan", "NaN", "-nan"):
+        with pytest.raises(IngestError, match="line 2: non-finite public degree nan"):
+            load_sample_records(_write(tmp_path / "g.txt", f"5 3 3.0\n1 5 3 {token}\n"))
