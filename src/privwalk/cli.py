@@ -117,35 +117,23 @@ def _cmd_estimate(args) -> int:
     record = load_sample_records(args.record)
     m = args.m if args.m is not None else default_gap_threshold(record.r, args.m_fraction)
     rep = build_report(record, m)
-    print(f"samples {rep.sample_count}")
-    print(f"gap_threshold {rep.gap_threshold}")
-    print(f"collision_mean {rep.collision_mean!r}")
-    print(f"weight_mean_prior {rep.weight_mean_prior!r}")
-    print(f"weight_mean_proposed {rep.weight_mean_proposed!r}")
-    print(f"nc_size {rep.size_nc!r}")
-    print(f"proposed_size {rep.size_proposed!r}")
-    print(f"smooth_avg_degree {rep.avg_degree_smooth!r}")
-    print(f"proposed_avg_degree {rep.avg_degree_proposed!r}")
-    print(f"privacy_rate_from_size {rep.privacy_rate_size!r}")
-    print(f"privacy_rate_from_avg_degree {rep.privacy_rate_avg_degree!r}")
+    fields = [
+        ("samples", rep.sample_count),
+        ("gap_threshold", rep.gap_threshold),
+        ("collision_mean", rep.collision_mean),
+        ("weight_mean_prior", rep.weight_mean_prior),
+        ("weight_mean_proposed", rep.weight_mean_proposed),
+        ("nc_size", rep.size_nc),
+        ("proposed_size", rep.size_proposed),
+        ("smooth_avg_degree", rep.avg_degree_smooth),
+        ("proposed_avg_degree", rep.avg_degree_proposed),
+        ("privacy_rate_from_size", rep.privacy_rate_size),
+        ("privacy_rate_from_avg_degree", rep.privacy_rate_avg_degree),
+    ]
+    for name, value in fields:
+        print(f"{name} {value!r}")
     if args.csv:
-        _write_csv(
-            args.csv,
-            ("field", "value"),
-            [
-                ("samples", rep.sample_count),
-                ("gap_threshold", rep.gap_threshold),
-                ("collision_mean", rep.collision_mean),
-                ("weight_mean_prior", rep.weight_mean_prior),
-                ("weight_mean_proposed", rep.weight_mean_proposed),
-                ("nc_size", rep.size_nc),
-                ("proposed_size", rep.size_proposed),
-                ("smooth_avg_degree", rep.avg_degree_smooth),
-                ("proposed_avg_degree", rep.avg_degree_proposed),
-                ("privacy_rate_from_size", rep.privacy_rate_size),
-                ("privacy_rate_from_avg_degree", rep.privacy_rate_avg_degree),
-            ],
-        )
+        _write_csv(args.csv, ("field", "value"), fields)
         print(f"wrote {args.csv}")
     return 0
 

@@ -29,9 +29,10 @@ from .estimators import NoCollisionError, build_report, default_gap_threshold
 from .graph import GraphError, LabeledGraph, assign_labels_bernoulli, largest_public_cluster
 from .ingest import load_edge_list, load_labels
 from .theory import THEORY_COLUMNS, convergence_values, theory_report_rows
-from .walk import PubdegMode, StuckWalkError, pick_seed_node, run_walk
+from .walk import PubdegMode, StuckWalkError, _record, _selections, pick_seed_node, run_walk
 
 ESTIMATOR_NAMES = ("nc_size", "proposed_size", "smooth_avg_degree", "proposed_avg_degree")
+CENSUS_MODES = (PubdegMode.EXACT_HIDDEN, PubdegMode.APPROX_HIDDEN)
 
 
 @dataclass(frozen=True)
@@ -195,10 +196,14 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
-def _sample_sizes(cfg: ExperimentConfig, n: int) -> tuple[int, ...]:
+def _cells(cfg: ExperimentConfig, n: int) -> list[tuple[float | None, int]]:
+    """The run's (p, r) grid cells; p is None when the labels come from a file."""
     if cfg.sample_sizes is not None:
-        return cfg.sample_sizes
-    return tuple(max(2, int(round(f * n))) for f in cfg.sample_fractions)
+        sizes = cfg.sample_sizes
+    else:
+        sizes = tuple(max(2, int(round(f * n))) for f in cfg.sample_fractions)
+    p_cells: list[float | None] = [None] if cfg.labels == "file" else list(cfg.p_grid)
+    return [(p, r) for p in p_cells for r in sizes]
 
 
 def _load_graph(cfg: ExperimentConfig) -> LabeledGraph:
@@ -213,31 +218,33 @@ def _load_graph(cfg: ExperimentConfig) -> LabeledGraph:
 _POOL_STATE: dict = {}
 
 
-def _pool_init(g, cfg):  # pragma: no cover - exercised only with workers > 1
-    _POOL_STATE["g"] = g
-    _POOL_STATE["cfg"] = cfg
+def _pool_init(g, cfg, trial):  # pragma: no cover - exercised only with workers > 1
+    _POOL_STATE.update(g=g, cfg=cfg, trial=trial)
 
 
 def _pool_trial(args):  # pragma: no cover - exercised only with workers > 1
     p, r, trial_seed = args
-    return _run_trial(_POOL_STATE["g"], _POOL_STATE["cfg"], p, r, trial_seed)
+    return _POOL_STATE["trial"](_POOL_STATE["g"], _POOL_STATE["cfg"], p, r, trial_seed)
 
 
-def _run_trials(g: LabeledGraph, cfg: ExperimentConfig, tasks) -> list:
-    """Outcomes of (p, r, seed) trials, in task order.
+def _run_cells(g: LabeledGraph, cfg: ExperimentConfig, trial, cells) -> list[list]:
+    """Each cell's outcomes of ``trial(g, cfg, p, r, seed)``, in seed order.
 
-    With ``workers > 1`` one process pool serves every task of the run,
+    With ``workers > 1`` one process pool serves every trial of the run,
     so the graph is sent to each worker once.
     """
+    tasks = [(p, r, cfg.base_seed + t) for p, r in cells for t in range(cfg.trials)]
     if cfg.workers <= 1:
-        return [_run_trial(g, cfg, p, r, seed) for p, r, seed in tasks]
-    with ProcessPoolExecutor(
-        max_workers=cfg.workers,
-        mp_context=get_context("spawn"),
-        initializer=_pool_init,
-        initargs=(g, cfg),
-    ) as pool:
-        return list(pool.map(_pool_trial, tasks, chunksize=8))
+        outcomes = [trial(g, cfg, p, r, seed) for p, r, seed in tasks]
+    else:
+        with ProcessPoolExecutor(
+            max_workers=cfg.workers,
+            mp_context=get_context("spawn"),
+            initializer=_pool_init,
+            initargs=(g, cfg, trial),
+        ) as pool:
+            outcomes = list(pool.map(_pool_trial, tasks, chunksize=8))
+    return [outcomes[i * cfg.trials : (i + 1) * cfg.trials] for i in range(len(cells))]
 
 
 def _trial_context(g: LabeledGraph, p: float | None, trial_seed: int):
@@ -290,6 +297,22 @@ def _run_trial(g, cfg: ExperimentConfig, p: float | None, r: int, trial_seed: in
     return (rep.size_nc, rep.size_proposed, rep.avg_degree_smooth, rep.avg_degree_proposed), ratio
 
 
+def _census_trial(g, cfg: ExperimentConfig, p: float | None, r: int, trial_seed: int):
+    """Returns each census mode's (unique-queried fraction, raw queries), or
+    None when the trial has no walk; one walk feeds both modes' ledgers."""
+    try:
+        gl, view, seed_node, walk_seed = _trial_context(g, p, trial_seed)
+        probes = _selections(gl, seed_node, r, walk_seed, view)
+    except (GraphError, StuckWalkError):
+        return None
+    out = []
+    for mode in CENSUS_MODES:
+        ledger = QueryLedger(memoize=cfg.census_memoize)
+        _record(gl, seed_node, probes, mode, ledger, cfg.count_visit_queries)
+        out.append((len(ledger.unique_queried) / g.node_count, ledger.raw_queries))
+    return out
+
+
 def _nrmse(estimates: np.ndarray, truth: float) -> float:
     return float(np.sqrt(np.mean((estimates / truth - 1.0) ** 2)))
 
@@ -304,19 +327,9 @@ def run_experiment(cfg: ExperimentConfig, graph: LabeledGraph | None = None) -> 
         "smooth_avg_degree": g.avg_degree,
         "proposed_avg_degree": g.avg_degree,
     }
-    sizes = _sample_sizes(cfg, n)
-    if cfg.labels == "file":
-        p_cells: list[float | None] = [None]
-    else:
-        p_cells = list(cfg.p_grid)
-
-    cells = [(p, r) for p in p_cells for r in sizes]
-    tasks = [(p, r, cfg.base_seed + t) for p, r in cells for t in range(cfg.trials)]
-    all_outcomes = _run_trials(g, cfg, tasks)
-
+    cells = _cells(cfg, n)
     rows: list[NrmseRow] = []
-    for i, (p, r) in enumerate(cells):
-        outcomes = all_outcomes[i * cfg.trials : (i + 1) * cfg.trials]
+    for (p, r), outcomes in zip(cells, _run_cells(g, cfg, _run_trial, cells)):
         est = np.array([o[0] for o in outcomes if o[0] is not None], dtype=float)
         ratios = np.array([o[1] for o in outcomes], dtype=float)
         failed = sum(1 for o in outcomes if o[0] is None)
@@ -352,60 +365,34 @@ def run_experiment(cfg: ExperimentConfig, graph: LabeledGraph | None = None) -> 
 def query_census(cfg: ExperimentConfig, graph: LabeledGraph | None = None) -> list[dict]:
     """Compare query footprints of the exact and counter-based hidden modes.
 
-    Both modes rerun every trial's walk from identical seeds, so they
-    visit the same node sequence; what differs is what each one queries.
-    Reports the unique-queried fraction of all nodes and raw totals.
-    Memoization is off by default so raw counts match the per-sample
-    cost conventions; enable ``census_memoize`` to model a caching crawler.
+    One walk per trial feeds both modes' ledgers: the neighbor selections
+    do not depend on the mode, so both see the same node sequence; what
+    differs is what each one queries. A trial whose walk cannot run fails
+    for both modes. Reports the unique-queried fraction of all nodes and
+    raw totals. Memoization is off by default so raw counts match the
+    per-sample cost conventions; enable ``census_memoize`` to model a
+    caching crawler.
     """
     g = graph if graph is not None else _load_graph(cfg)
-    n = g.node_count
-    sizes = _sample_sizes(cfg, n)
-    p_cells: list[float | None] = [None] if cfg.labels == "file" else list(cfg.p_grid)
-    modes = (PubdegMode.EXACT_HIDDEN, PubdegMode.APPROX_HIDDEN)
-
+    cells = _cells(cfg, g.node_count)
     rows: list[dict] = []
-    for p in p_cells:
-        for r in sizes:
-            stats = {mode: {"unique": [], "raw": []} for mode in modes}
-            for t in range(cfg.trials):
-                try:
-                    gl, view, seed_node, walk_seed = _trial_context(g, p, cfg.base_seed + t)
-                except GraphError:
-                    continue
-                for mode in modes:
-                    ledger = QueryLedger(memoize=cfg.census_memoize)
-                    try:
-                        run_walk(
-                            gl,
-                            AccessModel.HIDDEN,
-                            seed_node,
-                            r,
-                            mode,
-                            walk_seed,
-                            ledger,
-                            view=view,
-                            count_visit_queries=cfg.count_visit_queries,
-                        )
-                    except StuckWalkError:
-                        continue
-                    stats[mode]["unique"].append(len(ledger.unique_queried) / n)
-                    stats[mode]["raw"].append(ledger.raw_queries)
-            p_label = g.private_fraction if p is None else float(p)
-            for mode in modes:
-                uniq = stats[mode]["unique"]
-                raw = stats[mode]["raw"]
-                rows.append(
-                    {
-                        "p": p_label,
-                        "sample_size": r,
-                        "mode": mode.value,
-                        "trials": len(raw),
-                        "mean_unique_fraction": float(np.mean(uniq)) if uniq else float("nan"),
-                        "mean_raw_queries": float(np.mean(raw)) if raw else float("nan"),
-                        "mean_query_ratio": float(np.mean(raw)) / r if raw else float("nan"),
-                    }
-                )
+    for (p, r), outcomes in zip(cells, _run_cells(g, cfg, _census_trial, cells)):
+        walked = [o for o in outcomes if o is not None]
+        p_label = g.private_fraction if p is None else float(p)
+        for j, mode in enumerate(CENSUS_MODES):
+            uniq = [o[j][0] for o in walked]
+            raw = [o[j][1] for o in walked]
+            rows.append(
+                {
+                    "p": p_label,
+                    "sample_size": r,
+                    "mode": mode.value,
+                    "trials": len(raw),
+                    "mean_unique_fraction": float(np.mean(uniq)) if uniq else float("nan"),
+                    "mean_raw_queries": float(np.mean(raw)) if raw else float("nan"),
+                    "mean_query_ratio": float(np.mean(raw)) / r if raw else float("nan"),
+                }
+            )
 
     os.makedirs(cfg.outdir, exist_ok=True)
     cols = (

@@ -168,9 +168,10 @@ def load_sample_records(path) -> WalkRecord:
 
     Accepts two layouts per line: ``id degree public_degree`` or the walk
     dump format ``index id degree public_degree``. Public degrees may be
-    fractional but must be finite and can never exceed the degree. Ids
-    and degrees must fit in int64. The record is treated as exact
-    hidden-model output; it carries no query ledger.
+    fractional but must be positive and finite and can never exceed the
+    degree, so a degree of 0 is rejected too. Ids and degrees must fit
+    in int64. The record is treated as exact hidden-model output; it
+    carries no query ledger.
     """
     nodes: list[int] = []
     degrees: list[int] = []
@@ -189,13 +190,15 @@ def load_sample_records(path) -> WalkRecord:
             ds = float(parts[2])
         except ValueError:
             raise IngestError(f"{path}: line {lineno}: malformed sample {s!r}") from None
-        if not (d >= 0 and 0 <= ds <= d):  # NaN fails every comparison
+        if not 0 < ds <= d:  # NaN fails every comparison
             if d < 0 or ds < 0:
                 raise IngestError(f"{path}: line {lineno}: negative degree value")
             if ds > d:
                 raise IngestError(
                     f"{path}: line {lineno}: public degree {ds} exceeds degree {d}"
                 )
+            if ds == 0:
+                raise IngestError(f"{path}: line {lineno}: public degree {ds} is not positive")
             raise IngestError(f"{path}: line {lineno}: non-finite public degree {ds}")
         nodes.append(v)
         degrees.append(d)

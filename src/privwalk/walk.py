@@ -179,6 +179,18 @@ def run_walk(
             f"pubdeg mode {pubdeg_mode.value} requires the "
             f"{pubdeg_mode.access_model.value} access model"
         )
+    probes = _selections(g, seed_node, r, rng_seed, view)
+    return _record(g, int(seed_node), probes, pubdeg_mode, ledger, count_visit_queries)
+
+
+def _selections(
+    g: LabeledGraph, seed_node: int, r: int, rng_seed, view: PublicClusterView | None
+) -> np.ndarray:
+    """Check an ``r``-sample walk from ``seed_node``, then make its selections.
+
+    The selections do not depend on the public-degree mode, so one pass
+    can feed the records of several modes.
+    """
     if r < 1:
         raise ValueError("walk length must be at least 1")
     if not 0 <= seed_node < g.node_count:
@@ -193,13 +205,23 @@ def run_walk(
         # every sample performs a trailing neighbor selection, which can
         # never succeed when the cluster has no second member
         raise StuckWalkError("largest public cluster is a single node")
+    return _select(g, int(seed_node), r, rng_seed)
+
+
+def _record(
+    g: LabeledGraph, seed_node: int, probes, pubdeg_mode: PubdegMode, ledger, count_visit_queries
+) -> WalkRecord:
+    """The walk record of ``pubdeg_mode`` derived from a walk's selections.
+
+    ``probes`` is what :func:`_selections` returned for ``seed_node``;
+    the queries go to ``ledger``, a fresh one when it is None.
+    """
     if ledger is None:
         ledger = QueryLedger()
-
-    probes = _select(g, int(seed_node), r, rng_seed)
     # each sample's selections end at its first public hit, which is the
     # next sample; the final sample's trailing hit is selected but unused
     hits = np.flatnonzero(~g.is_private[probes])
+    r = hits.size
     nodes = np.empty(r, dtype=np.int64)
     nodes[0] = seed_node
     nodes[1:] = probes[hits[:-1]]
@@ -240,7 +262,7 @@ def run_walk(
     public = lens - (private_run[ends] - private_run[ends - lens])
     pub_out = public[inv].astype(np.float64)
 
-    if model is AccessModel.IDEAL:
+    if pubdeg_mode is PubdegMode.EXACT_IDEAL:
         # every visit is one query; arrivals are never free here
         _charge(ledger, n, nodes, np.arange(1, r + 1), np.arange(r), np.ones(r, np.int64))
     else:

@@ -8,9 +8,13 @@ through the access facade. Slow but obviously correct. The two graph
 builders take the plain routes: a per-edge ``set`` loop, and an edge-list
 pipeline that sorts its CSR again after keeping the largest component.
 The collision count loops over nodes with one small search per node.
+The query census walks each trial once per hidden mode, with nested
+loops over the grid and the trials.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -22,11 +26,17 @@ from privwalk import (
     PubdegMode,
     QueryLedger,
     SelectionCounters,
+    StuckWalkError,
     WalkRecord,
+    assign_labels_bernoulli,
     is_public_via_model,
+    largest_public_cluster,
     probe_all_neighbors,
     query_node,
+    run_walk,
 )
+from privwalk.experiment import _write_csv
+from privwalk.walk import pick_seed_node
 
 
 def flood_fill_public_clusters(edges, is_private) -> list[set[int]]:
@@ -375,3 +385,83 @@ def reference_walk(
     return WalkRecord(
         nodes_out, degs_out, pub_out, pubdeg_mode, ledger, SelectionCounters(succ, att)
     )
+
+
+def reference_query_census(cfg, graph) -> list[dict]:
+    """The query census with one walk per trial and hidden mode.
+
+    Runs serially whatever ``cfg.workers`` says and writes ``census.csv``
+    in ``cfg.outdir``. Trial ``i`` spawns its labels, seed pick and walk
+    keys from ``base_seed + i``, as the experiment driver documents.
+    """
+    g = graph
+    n = g.node_count
+    if cfg.sample_sizes is not None:
+        sizes = cfg.sample_sizes
+    else:
+        sizes = tuple(max(2, int(round(f * n))) for f in cfg.sample_fractions)
+    p_cells = [None] if cfg.labels == "file" else list(cfg.p_grid)
+    modes = (PubdegMode.EXACT_HIDDEN, PubdegMode.APPROX_HIDDEN)
+
+    rows: list[dict] = []
+    for p in p_cells:
+        for r in sizes:
+            stats = {mode: {"unique": [], "raw": []} for mode in modes}
+            for t in range(cfg.trials):
+                keys = np.random.SeedSequence(cfg.base_seed + t).spawn(3)
+                try:
+                    gl = g if p is None else assign_labels_bernoulli(g, p, keys[0])
+                    view = largest_public_cluster(gl)
+                    seed_node = pick_seed_node(view, keys[1])
+                except GraphError:
+                    continue
+                for mode in modes:
+                    ledger = QueryLedger(memoize=cfg.census_memoize)
+                    try:
+                        run_walk(
+                            gl,
+                            AccessModel.HIDDEN,
+                            seed_node,
+                            r,
+                            mode,
+                            keys[2],
+                            ledger,
+                            view=view,
+                            count_visit_queries=cfg.count_visit_queries,
+                        )
+                    except StuckWalkError:
+                        continue
+                    stats[mode]["unique"].append(len(ledger.unique_queried) / n)
+                    stats[mode]["raw"].append(ledger.raw_queries)
+            p_label = g.private_fraction if p is None else float(p)
+            for mode in modes:
+                uniq = stats[mode]["unique"]
+                raw = stats[mode]["raw"]
+                rows.append(
+                    {
+                        "p": p_label,
+                        "sample_size": r,
+                        "mode": mode.value,
+                        "trials": len(raw),
+                        "mean_unique_fraction": float(np.mean(uniq)) if uniq else float("nan"),
+                        "mean_raw_queries": float(np.mean(raw)) if raw else float("nan"),
+                        "mean_query_ratio": float(np.mean(raw)) / r if raw else float("nan"),
+                    }
+                )
+
+    os.makedirs(cfg.outdir, exist_ok=True)
+    cols = (
+        "p",
+        "sample_size",
+        "mode",
+        "trials",
+        "mean_unique_fraction",
+        "mean_raw_queries",
+        "mean_query_ratio",
+    )
+    _write_csv(
+        os.path.join(cfg.outdir, "census.csv"),
+        cols,
+        [tuple(row[c] for c in cols) for row in rows],
+    )
+    return rows

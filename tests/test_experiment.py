@@ -1,15 +1,18 @@
+import math
 import re
 
 import numpy as np
 import pytest
 
 from graphgen import random_connected_edges, write_edge_file
+from oracles import reference_query_census
 
 from privwalk import (
     AccessModel,
     ESTIMATOR_NAMES,
     ExperimentConfig,
     PubdegMode,
+    assign_labels_bernoulli,
     build_graph,
     load_config,
     query_census,
@@ -255,6 +258,11 @@ def test_worker_pool_matches_serial(tmp_path, medium_graph):
     assert (tmp_path / "s" / "nrmse.csv").read_bytes() == (
         tmp_path / "p" / "nrmse.csv"
     ).read_bytes()
+    query_census(serial, graph=medium_graph)
+    query_census(pooled, graph=medium_graph)
+    assert (tmp_path / "s" / "census.csv").read_bytes() == (
+        tmp_path / "p" / "census.csv"
+    ).read_bytes()
 
 
 def test_query_census_compares_modes(tmp_path, medium_graph):
@@ -266,6 +274,64 @@ def test_query_census_compares_modes(tmp_path, medium_graph):
     assert exact["mean_unique_fraction"] >= approx["mean_unique_fraction"]
     assert exact["trials"] == approx["trials"] == 6
     assert (tmp_path / "out" / "census.csv").exists()
+
+
+def _census_graph(name, medium_graph):
+    if name == "medium":
+        return medium_graph
+    if name == "labeled":
+        return assign_labels_bernoulli(medium_graph, 0.2, 77)
+    if name == "lonely":  # public clusters {0}, {2}, {4}: every walk is stuck
+        return build_graph([(0, 1), (1, 2), (2, 3), (3, 4)], [False, True, False, True, False])
+    # a star: a private hub strands its leaves, so some labelings are stuck
+    return build_graph([(0, k) for k in range(1, 7)], [False] * 7)
+
+
+@pytest.mark.parametrize(
+    "graph, kw, walked",
+    [
+        ("medium", dict(p_grid=(0.2, 0.3), sample_sizes=(150, 300)), "all"),
+        ("medium", dict(p_grid=(0.3,), census_memoize=True), "all"),
+        ("medium", dict(p_grid=(0.3,), count_visit_queries=True), "all"),
+        ("labeled", dict(labels="file", label_file="unused"), "all"),
+        ("medium", dict(p_grid=(1.0,)), "none"),
+        ("lonely", dict(labels="file", label_file="unused", sample_sizes=(5,)), "none"),
+        ("star", dict(p_grid=(0.5,), sample_sizes=(20,), trials=16), "some"),
+    ],
+    ids=["grid_2x2", "memoize", "visit_queries", "file_labels", "all_private", "stuck", "mixed"],
+)
+def test_query_census_matches_reference(tmp_path, medium_graph, graph, kw, walked):
+    g = _census_graph(graph, medium_graph)
+    kw = {"trials": 6, **kw}
+    got = query_census(_cfg(tmp_path, outdir=str(tmp_path / "new"), **kw), graph=g)
+    want = reference_query_census(_cfg(tmp_path, outdir=str(tmp_path / "ref"), **kw), g)
+    assert repr(got) == repr(want)  # repr compares floats bitwise and NaN as equal
+    assert (tmp_path / "new" / "census.csv").read_bytes() == (
+        tmp_path / "ref" / "census.csv"
+    ).read_bytes()
+    for row in got:
+        if walked == "all":
+            assert row["trials"] == kw["trials"]
+        elif walked == "none":
+            assert row["trials"] == 0 and math.isnan(row["mean_raw_queries"])
+        else:
+            assert 0 < row["trials"] < kw["trials"]
+
+
+def test_census_walks_once_per_trial(tmp_path, medium_graph, monkeypatch):
+    from privwalk import walk
+
+    calls = []
+    select = walk._select
+
+    def counting_select(*args):
+        calls.append(args)
+        return select(*args)
+
+    monkeypatch.setattr(walk, "_select", counting_select)
+    rows = query_census(_cfg(tmp_path, p_grid=(0.3,), trials=5), graph=medium_graph)
+    assert [row["trials"] for row in rows] == [5, 5]
+    assert len(calls) == 5
 
 
 def test_file_labels_pin_the_labeling(tmp_path, medium_graph):

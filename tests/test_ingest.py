@@ -172,7 +172,9 @@ def test_sample_records_four_column_dump_format(tmp_path):
     assert list(rec.public_degrees) == [2.5, 2.0]
 
 
-def test_sample_records_validation(tmp_path):
+def test_sample_records_validation(tmp_path, capsys):
+    from privwalk.cli import main
+
     with pytest.raises(IngestError, match="line 1"):
         load_sample_records(_write(tmp_path / "a.txt", "5 3 4.0\n"))  # ds > d
     with pytest.raises(IngestError, match="line 2"):
@@ -188,3 +190,9 @@ def test_sample_records_validation(tmp_path):
     for token in ("nan", "NaN", "-nan"):
         with pytest.raises(IngestError, match="line 2: non-finite public degree nan"):
             load_sample_records(_write(tmp_path / "g.txt", f"5 3 3.0\n1 5 3 {token}\n"))
+    for line in ("6 4 0", "6 0 0"):
+        zero = _write(tmp_path / "h.txt", f"5 3 3.0\n{line}\n")
+        with pytest.raises(IngestError, match=f"^{re.escape(str(zero))}: line 2: public degree 0.0 is"):
+            load_sample_records(zero)
+    assert main(["estimate", str(zero)]) == 1
+    assert capsys.readouterr().err == f"error: {zero}: line 2: public degree 0.0 is not positive\n"
