@@ -5,11 +5,18 @@ graph: direction removal, duplicate-edge and self-loop dropping,
 restriction to the largest connected component, and dense renumbering to
 0..n-1. The original ids are retained on the graph for label joining.
 Running the pipeline on its own output changes nothing.
+
+Edge lists and sample files are parsed by ``np.loadtxt`` first. Whenever
+NumPy rejects a file, or a check on its arrays fails, the line parser
+reads the whole file again: it decides every case NumPy does not accept,
+and raises the error that names the first bad line. Files are UTF-8.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
+import warnings
 
 import numpy as np
 from .graph import ALL_PUBLIC, LabeledGraph, LabelOrigin, _components, _csr_from_pairs
@@ -25,8 +32,15 @@ class IngestError(ValueError):
 
 
 def _data_lines(path):
-    with open(path) as f:
+    # undecodable bytes stay in their line as lone surrogates, so the error
+    # names the first bad line wherever the decoder's chunks happen to end
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
+            if not line.isascii():
+                try:
+                    line.encode()
+                except UnicodeEncodeError:
+                    raise IngestError(f"{path}: line {lineno}: not valid UTF-8") from None
             s = line.strip()
             if not s or s.startswith(_COMMENT_PREFIXES):
                 continue
@@ -43,17 +57,29 @@ def _beyond_int64(path, columns) -> IngestError:
     return IngestError(f"{path}: an integer is outside the int64 range")
 
 
-def load_edge_list(path) -> LabeledGraph:
-    """Load and preprocess a whitespace-separated ``src dst`` edge list.
+def _parsed(path, numpy_parse, line_parse):
+    """``numpy_parse`` of the file's uncommented lines, or ``line_parse(path)``
+    when NumPy raises or warns, or ``numpy_parse`` returns None."""
+    try:
+        with open(path, encoding="utf-8") as f, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # loadtxt's own ``comments=`` would also cut ``#`` out of mid-line
+            arrays = numpy_parse(
+                line for line in f if not line.lstrip().startswith(_COMMENT_PREFIXES)
+            )
+    except (ValueError, Warning):
+        arrays = None
+    return line_parse(path) if arrays is None else arrays
 
-    Lines starting with ``#`` or ``%`` are comments. Extra columns after
-    the first two (weights, timestamps) are ignored. Directions are
-    removed, so ``u v`` and ``v u`` are the same edge. Ids must fit in
-    int64.
 
-    The returned graph is all-public, connected (largest component),
-    densely renumbered, with the original ids in ``graph.orig_ids``.
-    """
+def _numpy_edges(lines):
+    pairs = np.loadtxt(lines, dtype=np.int64, comments=None, usecols=(0, 1), ndmin=2)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]  # drop self-loops
+    return (pairs[:, 0], pairs[:, 1]) if pairs.size else None
+
+
+def _line_edges(path) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, dst)`` of every edge line but self-loops, parsed line by line."""
     srcs: list[int] = []
     dsts: list[int] = []
     for lineno, s in _data_lines(path):
@@ -81,13 +107,31 @@ def load_edge_list(path) -> LabeledGraph:
         raise _beyond_int64(
             path, lambda parts: () if int(parts[0]) == int(parts[1]) else parts[:2]
         ) from None
+    return src, dst
 
-    # dense id space, then canonical undirected dedup
-    ids = np.unique(np.concatenate([src, dst]))
+
+def load_edge_list(path) -> LabeledGraph:
+    """Load and preprocess a whitespace-separated ``src dst`` edge list.
+
+    The file is UTF-8. Lines whose first non-blank character is ``#`` or
+    ``%`` are comments. Ids are what Python's ``int`` accepts and must fit
+    in int64. Extra columns after the first two (weights, timestamps) are
+    ignored. Directions are removed, so ``u v`` and ``v u`` are the same
+    edge. NumPy parses the common file; the line parser decides any file
+    NumPy rejects, so the accepted grammar is the line parser's.
+
+    The returned graph is all-public, connected (largest component),
+    densely renumbered, with the original ids in ``graph.orig_ids``.
+    """
+    src, dst = _parsed(path, _numpy_edges, _line_edges)
+    # dense id space, then canonical undirected dedup; recent NumPy runs a
+    # plain np.unique (no return_*) through a hash table, many times slower
+    # than a sort on these int64 keys
+    ids, dense = np.unique(np.concatenate([src, dst]), return_inverse=True)
     n = ids.size
-    src = np.searchsorted(ids, src)
-    dst = np.searchsorted(ids, dst)
-    key = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst))
+    src, dst = dense[: src.size], dense[src.size :]
+    key = np.sort(np.minimum(src, dst) * n + np.maximum(src, dst))
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
     indptr, indices = _csr_from_pairs(key // n, key % n, n)
 
     n_comp, comp = _components(indptr, indices, n)
@@ -113,9 +157,10 @@ def load_labels(path, g: LabeledGraph, *, strict: bool = True) -> LabeledGraph:
     """Attach labels from lines of ``original_id flag``.
 
     ``flag`` is one of ``public``, ``private``, ``0`` (public), ``1``
-    (private). In strict mode every graph node must be listed and every
-    listed id must exist in the graph; otherwise unknown ids are skipped
-    with a warning and unlisted nodes default to public.
+    (private). In strict mode every graph node must be listed once and
+    every listed id must exist in the graph; otherwise unknown ids are
+    skipped, a repeated id keeps its last flag, and unlisted nodes default
+    to public, each with a warning. The file is UTF-8.
     """
     if g.orig_ids is not None:
         id_of = {int(o): i for i, o in enumerate(g.orig_ids)}
@@ -123,8 +168,8 @@ def load_labels(path, g: LabeledGraph, *, strict: bool = True) -> LabeledGraph:
         id_of = {i: i for i in range(g.node_count)}
 
     is_private = np.zeros(g.node_count, dtype=bool)
-    listed = np.zeros(g.node_count, dtype=bool)
-    skipped = 0
+    listed_at = np.zeros(g.node_count, dtype=np.int64)  # 0: not listed
+    skipped = repeated = 0
     for lineno, s in _data_lines(path):
         parts = s.split()
         if len(parts) != 2:
@@ -142,11 +187,21 @@ def load_labels(path, g: LabeledGraph, *, strict: bool = True) -> LabeledGraph:
                 raise IngestError(f"{path}: line {lineno}: id {orig} not in graph")
             skipped += 1
             continue
+        if listed_at[node]:
+            if strict:
+                raise IngestError(
+                    f"{path}: line {lineno}: id {orig} already listed at line {listed_at[node]}"
+                )
+            repeated += 1
         is_private[node] = flag
-        listed[node] = True
+        listed_at[node] = lineno
 
-    if skipped:
-        log.warning("%s: skipped %d labels for ids outside the graph", path, skipped)
+    if skipped or repeated:
+        log.warning(
+            "%s: skipped %d labels for ids outside the graph; %d repeated ids kept their last label",
+            path, skipped, repeated,
+        )
+    listed = listed_at > 0
     if not listed.all():
         missing = int((~listed).sum())
         if strict:
@@ -163,16 +218,26 @@ def save_labels(g: LabeledGraph, path) -> None:
             f.write(f"{int(orig)} {int(priv)}\n")
 
 
-def load_sample_records(path) -> WalkRecord:
-    """Load a pre-collected sample file into a walk record.
+_SAMPLE_FIELDS = [("node", np.int64), ("degree", np.int64), ("pubdeg", np.float64)]
 
-    Accepts two layouts per line: ``id degree public_degree`` or the walk
-    dump format ``index id degree public_degree``. Public degrees may be
-    fractional but must be positive and finite and can never exceed the
-    degree, so a degree of 0 is rejected too. Ids and degrees must fit
-    in int64. The record is treated as exact hidden-model output; it
-    carries no query ledger.
-    """
+
+def _numpy_samples(lines):
+    # the first data line fixes the layout; a file that mixes both falls back
+    first = next((line for line in lines if not line.isspace()), "")
+    width = len(first.split())
+    if width not in (3, 4):
+        return None
+    fields = [("index", np.int64)] * (width - 3) + _SAMPLE_FIELDS
+    rows = np.loadtxt(itertools.chain([first], lines), dtype=fields, comments=None, ndmin=1)
+    v, d, ds = (np.ascontiguousarray(rows[name]) for name, _ in _SAMPLE_FIELDS)
+    # the line parser compares ``ds <= d`` exactly, as float64 does while d <= 2**53
+    if not np.all((0 < ds) & (ds <= d) & (d <= 2**53)):
+        return None
+    return v, d, ds
+
+
+def _line_samples(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(nodes, degrees, public_degrees)`` of a sample file, parsed line by line."""
     nodes: list[int] = []
     degrees: list[int] = []
     pubdegs: list[float] = []
@@ -210,11 +275,23 @@ def load_sample_records(path) -> WalkRecord:
         degree_arr = np.asarray(degrees, dtype=np.int64)
     except OverflowError:
         raise _beyond_int64(path, lambda parts: parts[-3:-1]) from None
+    return node_arr, degree_arr, np.asarray(pubdegs, dtype=np.float64)
+
+
+def load_sample_records(path) -> WalkRecord:
+    """Load a pre-collected sample file into a walk record.
+
+    Accepts two layouts per line: ``id degree public_degree`` or the walk
+    dump format ``index id degree public_degree``; the index is not read.
+    Public degrees may be fractional but must be positive and finite and
+    can never exceed the degree, so a degree of 0 is rejected too. Ids
+    and degrees must fit in int64. Comments and encoding follow
+    :func:`load_edge_list`, and so does the parse: NumPy reads a file with
+    one layout throughout, and the line parser decides any other file.
+    The record is treated as exact hidden-model output; it carries no
+    query ledger.
+    """
+    nodes, degrees, public_degrees = _parsed(path, _numpy_samples, _line_samples)
     return WalkRecord(
-        node_arr,
-        degree_arr,
-        np.asarray(pubdegs, dtype=np.float64),
-        PubdegMode.EXACT_HIDDEN,
-        ledger=None,
-        counters=None,
+        nodes, degrees, public_degrees, PubdegMode.EXACT_HIDDEN, ledger=None, counters=None
     )

@@ -1,3 +1,4 @@
+import logging
 import re
 
 import numpy as np
@@ -154,6 +155,36 @@ def test_label_tokens_and_strictness(tmp_path):
     bad = _write(tmp_path / "bad.txt", "0 maybe\n")
     with pytest.raises(IngestError, match="line 1"):
         load_labels(bad, g, strict=False)
+
+
+def test_repeated_label_ids(tmp_path, caplog):
+    g = load_edge_list(_write(tmp_path / "e.txt", "0 1\n1 2\n"))
+    f = _write(tmp_path / "labels.txt", "0 0\n2 private\n1 1\n2 public\n")
+    with pytest.raises(IngestError, match=f"^{re.escape(str(f))}: line 4: id 2 already listed at line 2$"):
+        load_labels(f, g)
+    with caplog.at_level(logging.WARNING, logger="privwalk.ingest"):
+        gl = load_labels(f, g, strict=False)
+    assert list(gl.is_private) == [False, True, False]  # the last flag wins
+    assert f"{f}: skipped 0 labels for ids outside the graph; 1 repeated ids" in caplog.text
+
+
+def test_invalid_utf8_names_the_line(tmp_path, capsys):
+    from privwalk.cli import main
+
+    # 3000 lines put the bad byte past the decoder's first chunk
+    edges = tmp_path / "e.txt"
+    edges.write_bytes("".join(f"{k} {k + 1}\n" for k in range(3000)).encode() + b"5 \xff6\n7 8\n")
+    samples = tmp_path / "s.txt"
+    samples.write_bytes(b"5 3 2.0\n" * 3000 + b"# caf\xe9\n5 3 2.0\n")
+    labels = tmp_path / "l.txt"
+    labels.write_bytes(b"0 0\n1 publ\xffc\n")
+    g = load_edge_list(_write(tmp_path / "g.txt", "0 1\n"))
+    for load, f, line in ((load_edge_list, edges, 3001), (load_sample_records, samples, 3001),
+                          (lambda f: load_labels(f, g), labels, 2)):
+        with pytest.raises(IngestError, match=f"^{re.escape(str(f))}: line {line}: not valid UTF-8$"):
+            load(f)
+    assert main(["ingest", str(edges)]) == 1
+    assert capsys.readouterr().err == f"error: {edges}: line 3001: not valid UTF-8\n"
 
 
 def test_sample_records_three_column(tmp_path):
