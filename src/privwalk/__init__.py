@@ -1,18 +1,8 @@
 """Random-walk sampling and estimation on social graphs with private nodes."""
 
-from .access import (
-    AccessModel,
-    NeighborReport,
-    PrivateNodeError,
-    QueryLedger,
-    is_public_via_model,
-    probe_all_neighbors,
-    query_node,
-)
 from .estimators import (
     EstimateReport,
     NoCollisionError,
-    SizeEstimates,
     avg_degree_estimates,
     build_report,
     default_gap_threshold,
@@ -28,7 +18,6 @@ from .experiment import (
 )
 from .graph import (
     GraphError,
-    LabelOrigin,
     LabeledGraph,
     PublicClusterView,
     assign_labels_bernoulli,
@@ -54,7 +43,9 @@ from .theory import (
     theory_report_rows,
 )
 from .walk import (
+    AccessModel,
     PubdegMode,
+    QueryLedger,
     SelectionCounters,
     StuckWalkError,
     WalkRecord,

@@ -10,18 +10,30 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .access import QueryLedger
 from .estimators import NoCollisionError, build_report, default_gap_threshold
-from .experiment import _parse_floats, _write_csv, load_config, query_census, run_experiment
+from .experiment import (
+    _parse_floats,
+    _write_csv,
+    _write_theory,
+    load_config,
+    query_census,
+    run_experiment,
+)
 from .graph import GraphError, LabeledGraph, assign_labels_bernoulli, largest_public_cluster
 from .ingest import IngestError, load_edge_list, load_labels, load_sample_records, save_labels
-from .theory import THEORY_COLUMNS, theory_report_rows
-from .walk import PubdegMode, StuckWalkError, pick_seed_node, run_walk
+from .walk import PubdegMode, QueryLedger, StuckWalkError, pick_seed_node, run_walk
 
 
 def _check_fraction(flag: str, x: float) -> None:
     if not 0.0 < x <= 1.0:
         raise ValueError(f"{flag} must lie in (0, 1], got {x}")
+
+
+def _check_seeds(args) -> None:
+    for name in ("label_seed", "rng_seed", "seed_pick_seed"):
+        x = getattr(args, name, None)
+        if x is not None and x < 0:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least 0, got {x}")
 
 
 def _load_labeled(args) -> LabeledGraph:
@@ -142,12 +154,11 @@ def _cmd_theory(args) -> int:
     g = load_edge_list(args.edges)
     if args.label_file:
         g = load_labels(args.label_file, g, strict=not args.lenient)
-        view = largest_public_cluster(g)
-        rows = theory_report_rows(g, [g.private_fraction], view=view)
+        p_grid = None
     else:
-        rows = theory_report_rows(g, _parse_floats(args.p_grid), label_seed=args.label_seed)
-    _write_csv(args.out, THEORY_COLUMNS, [tuple(r[c] for c in THEORY_COLUMNS) for r in rows])
-    print(f"wrote {args.out} ({len(rows)} rows)")
+        p_grid = _parse_floats(args.p_grid)
+    count = _write_theory(args.out, g, p_grid, args.label_seed)
+    print(f"wrote {args.out} ({count} rows)")
     return 0
 
 
@@ -242,6 +253,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_seeds(args)
         return args.func(args)
     except (GraphError, IngestError, NoCollisionError, StuckWalkError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

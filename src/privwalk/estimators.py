@@ -36,7 +36,7 @@ class NoCollisionError(RuntimeError):
     """No node collision among the admissible index pairs; size undefined."""
 
 
-class SizeEstimates(NamedTuple):
+class _SizeEstimates(NamedTuple):
     collision_mean: float
     weight_mean_prior: float
     weight_mean_proposed: float
@@ -101,7 +101,7 @@ def _collision_pairs(nodes: np.ndarray, m: int) -> int:
     return 2 * int(below[below > 0].sum())
 
 
-def size_estimates(record: WalkRecord, m: int) -> SizeEstimates:
+def size_estimates(record: WalkRecord, m: int) -> _SizeEstimates:
     """Collision mean, both weight means, and both size estimates.
 
     Raises :class:`NoCollisionError` when no admissible pair collides.
@@ -133,7 +133,7 @@ def size_estimates(record: WalkRecord, m: int) -> SizeEstimates:
             f"no node collision among pairs with gap >= {m} in {r} samples"
         )
     phi = collisions / pairs
-    return SizeEstimates(phi, psi_prior, psi_proposed, psi_prior / phi, psi_proposed / phi)
+    return _SizeEstimates(phi, psi_prior, psi_proposed, psi_prior / phi, psi_proposed / phi)
 
 
 def avg_degree_estimates(record: WalkRecord) -> tuple[float, float]:
@@ -157,11 +157,7 @@ def build_report(record: WalkRecord, m: int | None = None) -> EstimateReport:
     size = size_estimates(record, m)
     smooth, proposed = avg_degree_estimates(record)
     return EstimateReport(
-        collision_mean=size.collision_mean,
-        weight_mean_prior=size.weight_mean_prior,
-        weight_mean_proposed=size.weight_mean_proposed,
-        size_nc=size.size_nc,
-        size_proposed=size.size_proposed,
+        **size._asdict(),
         avg_degree_smooth=smooth,
         avg_degree_proposed=proposed,
         privacy_rate_size=1.0 - size.size_nc / size.size_proposed,

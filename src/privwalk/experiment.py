@@ -19,17 +19,25 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from multiprocessing import get_context
 
 import numpy as np
 
-from .access import AccessModel, QueryLedger
 from .estimators import NoCollisionError, build_report, default_gap_threshold
 from .graph import GraphError, LabeledGraph, assign_labels_bernoulli, largest_public_cluster
 from .ingest import load_edge_list, load_labels
 from .theory import THEORY_COLUMNS, convergence_values, theory_report_rows
-from .walk import PubdegMode, StuckWalkError, _record, _selections, pick_seed_node, run_walk
+from .walk import (
+    AccessModel,
+    PubdegMode,
+    QueryLedger,
+    StuckWalkError,
+    _record,
+    _selections,
+    pick_seed_node,
+    run_walk,
+)
 
 ESTIMATOR_NAMES = ("nc_size", "proposed_size", "smooth_avg_degree", "proposed_avg_degree")
 CENSUS_MODES = (PubdegMode.EXACT_HIDDEN, PubdegMode.APPROX_HIDDEN)
@@ -57,7 +65,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class NrmseRow:
-    """One estimator's score for one grid cell."""
+    """One estimator's score for one grid cell: a row of ``nrmse.csv``,
+    whose columns are these fields in order."""
 
     p: float
     sample_size: int
@@ -101,6 +110,7 @@ def _parse_floats(s: str) -> tuple[float, ...]:
 def load_config(path) -> ExperimentConfig:
     """Parse a ``key = value`` config file (see README for the key list)."""
     raw: dict[str, str] = {}
+    set_at: dict[str, int] = {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             s = line.strip()
@@ -109,7 +119,12 @@ def load_config(path) -> ExperimentConfig:
             if "=" not in s:
                 raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
             key, _, value = s.partition("=")
-            raw[key.strip()] = value.strip()
+            key = key.strip()
+            if key in set_at:
+                raise ValueError(
+                    f"{path}: line {lineno}: key {key} already set at line {set_at[key]}"
+                )
+            raw[key], set_at[key] = value.strip(), lineno
 
     def pop_bool(key: str, default: bool) -> bool:
         if key not in raw:
@@ -177,6 +192,8 @@ def load_config(path) -> ExperimentConfig:
         raise ValueError(f"{path}: trials must be at least 1, got {cfg.trials}")
     if cfg.workers < 1:
         raise ValueError(f"{path}: workers must be at least 1, got {cfg.workers}")
+    if cfg.base_seed < 0:
+        raise ValueError(f"{path}: base_seed must be at least 0, got {cfg.base_seed}")
     for p in cfg.p_grid:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{path}: p_grid values must lie in [0, 1], got {p}")
@@ -266,13 +283,8 @@ def _run_trial(g, cfg: ExperimentConfig, p: float | None, r: int, trial_seed: in
         return None, float("nan")
 
     if cfg.nrmse_target == "convergence":
-        cv = convergence_values(gl, view)
-        return (
-            cv.cluster_size,
-            cv.size_proposed,
-            cv.avg_degree_prior,
-            cv.avg_degree_proposed,
-        ), float("nan")
+        # ConvergenceValues lists its targets in ESTIMATOR_NAMES order
+        return astuple(convergence_values(gl, view)), float("nan")
 
     ledger = QueryLedger()
     try:
@@ -340,26 +352,25 @@ def run_experiment(cfg: ExperimentConfig, graph: LabeledGraph | None = None) -> 
             rows.append(NrmseRow(p_label, r, name, nrmse, failed, mean_ratio, cfg.trials))
 
     os.makedirs(cfg.outdir, exist_ok=True)
-    _write_csv(
-        os.path.join(cfg.outdir, "nrmse.csv"),
-        ("p", "sample_size", "estimator", "nrmse", "failed_trials", "mean_query_ratio", "trials"),
-        [
-            (row.p, row.sample_size, row.estimator, row.nrmse, row.failed_trials,
-             row.mean_query_ratio, row.trials)
-            for row in rows
-        ],
-    )
-    if cfg.labels == "file":
-        view = largest_public_cluster(g)
-        theory = theory_report_rows(g, [g.private_fraction], view=view)
-    else:
-        theory = theory_report_rows(g, cfg.p_grid, label_seed=cfg.base_seed)
-    _write_csv(
-        os.path.join(cfg.outdir, "theory.csv"),
-        THEORY_COLUMNS,
-        [tuple(row[c] for c in THEORY_COLUMNS) for row in theory],
-    )
+    header = [f.name for f in fields(NrmseRow)]
+    _write_csv(os.path.join(cfg.outdir, "nrmse.csv"), header, [astuple(row) for row in rows])
+    p_grid = None if cfg.labels == "file" else cfg.p_grid
+    _write_theory(os.path.join(cfg.outdir, "theory.csv"), g, p_grid, cfg.base_seed)
     return rows
+
+
+def _write_theory(path, g: LabeledGraph, p_grid, label_seed: int) -> int:
+    """Write the theory table and return its row count.
+
+    One row per rate of ``p_grid``, labels drawn from ``label_seed``; with
+    ``p_grid`` None, one row for the labels ``g`` carries.
+    """
+    if p_grid is None:
+        rows = theory_report_rows(g, [g.private_fraction], view=largest_public_cluster(g))
+    else:
+        rows = theory_report_rows(g, p_grid, label_seed=label_seed)
+    _write_csv(path, THEORY_COLUMNS, [tuple(row[c] for c in THEORY_COLUMNS) for row in rows])
+    return len(rows)
 
 
 def query_census(cfg: ExperimentConfig, graph: LabeledGraph | None = None) -> list[dict]:
@@ -395,19 +406,9 @@ def query_census(cfg: ExperimentConfig, graph: LabeledGraph | None = None) -> li
             )
 
     os.makedirs(cfg.outdir, exist_ok=True)
-    cols = (
-        "p",
-        "sample_size",
-        "mode",
-        "trials",
-        "mean_unique_fraction",
-        "mean_raw_queries",
-        "mean_query_ratio",
-    )
+    # every cell has a row per mode, and the rows' keys are the columns
     _write_csv(
-        os.path.join(cfg.outdir, "census.csv"),
-        cols,
-        [tuple(row[c] for c in cols) for row in rows],
+        os.path.join(cfg.outdir, "census.csv"), list(rows[0]), [tuple(row.values()) for row in rows]
     )
     return rows
 

@@ -21,17 +21,6 @@ class GraphError(ValueError):
     """Input violates a structural requirement (connectivity, id range, ...)."""
 
 
-@dataclass(frozen=True)
-class LabelOrigin:
-    """Where the privacy labels came from."""
-
-    kind: str  # "all_public", "bernoulli" or "file"
-    p: float | None = None  # retained only for kind == "bernoulli"
-
-
-ALL_PUBLIC = LabelOrigin("all_public")
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -45,21 +34,19 @@ class LabeledGraph:
     the adjacency arrays.
     """
 
-    __slots__ = ("indptr", "indices", "is_private", "label_origin", "orig_ids", "_shared")
+    __slots__ = ("indptr", "indices", "is_private", "orig_ids", "_shared")
 
     def __init__(
         self,
         indptr: np.ndarray,
         indices: np.ndarray,
         is_private: np.ndarray,
-        label_origin: LabelOrigin,
         orig_ids: np.ndarray | None = None,
         _shared: dict | None = None,
     ):
         self.indptr = _freeze(np.asarray(indptr, dtype=np.int64))
         self.indices = _freeze(np.asarray(indices))
         self.is_private = _freeze(np.asarray(is_private, dtype=bool))
-        self.label_origin = label_origin
         self.orig_ids = _freeze(np.asarray(orig_ids)) if orig_ids is not None else None
         # caches derived from the adjacency only, shared across relabelings
         self._shared = _shared if _shared is not None else {}
@@ -113,19 +100,17 @@ class LabeledGraph:
     def private_fraction(self) -> float:
         return self.private_count / self.node_count
 
-    def with_labels(self, is_private: np.ndarray, origin: LabelOrigin) -> "LabeledGraph":
+    def with_labels(self, is_private: np.ndarray) -> "LabeledGraph":
         """New graph with the same adjacency but different privacy labels."""
         is_private = np.asarray(is_private, dtype=bool)
         if is_private.shape != (self.node_count,):
             raise GraphError("label vector length does not match node count")
-        return LabeledGraph(
-            self.indptr, self.indices, is_private, origin, self.orig_ids, self._shared
-        )
+        return LabeledGraph(self.indptr, self.indices, is_private, self.orig_ids, self._shared)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"LabeledGraph(n={self.node_count}, edges={self.edge_count}, "
-            f"private={self.private_count}, origin={self.label_origin.kind})"
+            f"private={self.private_count})"
         )
 
 
@@ -168,7 +153,6 @@ def build_graph(
     labels: Sequence,
     *,
     drop_duplicates: bool = False,
-    label_origin: LabelOrigin | None = None,
 ) -> LabeledGraph:
     """Build a :class:`LabeledGraph` from an unordered edge list.
 
@@ -219,7 +203,7 @@ def build_graph(
     n_comp, _ = _components(indptr, indices, n)
     if n_comp != 1:
         raise GraphError(f"graph is not connected ({n_comp} components)")
-    return LabeledGraph(indptr, indices, is_private, label_origin or _default_origin(is_private))
+    return LabeledGraph(indptr, indices, is_private)
 
 
 def _csr_from_pairs(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -244,10 +228,6 @@ def _components(indptr: np.ndarray, indices: np.ndarray, n: int) -> tuple[int, n
     return connected_components(adj, directed=False)
 
 
-def _default_origin(is_private: np.ndarray) -> LabelOrigin:
-    return ALL_PUBLIC if not is_private.any() else LabelOrigin("file")
-
-
 def assign_labels_bernoulli(g: LabeledGraph, p: float, rng_seed) -> LabeledGraph:
     """Redraw privacy labels: each node independently private with probability p.
 
@@ -258,7 +238,7 @@ def assign_labels_bernoulli(g: LabeledGraph, p: float, rng_seed) -> LabeledGraph
         raise GraphError(f"privacy rate must lie in [0, 1], got {p}")
     rng = np.random.default_rng(rng_seed)
     is_private = rng.random(g.node_count) < p
-    return g.with_labels(is_private, LabelOrigin("bernoulli", p))
+    return g.with_labels(is_private)
 
 
 def largest_public_cluster(g: LabeledGraph) -> PublicClusterView:

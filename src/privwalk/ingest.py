@@ -19,7 +19,7 @@ import logging
 import warnings
 
 import numpy as np
-from .graph import ALL_PUBLIC, LabeledGraph, LabelOrigin, _components, _csr_from_pairs
+from .graph import LabeledGraph, _components, _csr_from_pairs
 from .walk import PubdegMode, WalkRecord
 
 log = logging.getLogger(__name__)
@@ -145,9 +145,7 @@ def load_edge_list(path) -> LabeledGraph:
         indptr = np.zeros(degrees.size + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
         ids = ids[keep]
-    return LabeledGraph(
-        indptr, indices, np.zeros(ids.size, dtype=bool), ALL_PUBLIC, orig_ids=ids
-    )
+    return LabeledGraph(indptr, indices, np.zeros(ids.size, dtype=bool), orig_ids=ids)
 
 
 _PRIVATE_TOKENS = {"1": True, "private": True, "0": False, "public": False}
@@ -207,7 +205,7 @@ def load_labels(path, g: LabeledGraph, *, strict: bool = True) -> LabeledGraph:
         if strict:
             raise IngestError(f"{path}: {missing} graph nodes have no label")
         log.warning("%s: %d unlisted nodes default to public", path, missing)
-    return g.with_labels(is_private, LabelOrigin("file"))
+    return g.with_labels(is_private)
 
 
 def save_labels(g: LabeledGraph, path) -> None:
@@ -292,6 +290,4 @@ def load_sample_records(path) -> WalkRecord:
     query ledger.
     """
     nodes, degrees, public_degrees = _parsed(path, _numpy_samples, _line_samples)
-    return WalkRecord(
-        nodes, degrees, public_degrees, PubdegMode.EXACT_HIDDEN, ledger=None, counters=None
-    )
+    return WalkRecord(nodes, degrees, public_degrees, PubdegMode.EXACT_HIDDEN)

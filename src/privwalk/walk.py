@@ -17,9 +17,9 @@ every neighbor selection and nothing else. The node sequence, the tries
 per sample, the degrees and public degrees, the selection counters and
 the caller's query ledger are all derived from that record afterwards
 with NumPy. They take the same values, under the same query conventions,
-as charging each query through the :mod:`privwalk.access` facade as it
-happens; the facade remains the reference those conventions are
-defined and tested by.
+as charging each query as it happens; ``tests/oracles.py`` holds that
+query-by-query reference, which defines the conventions and against
+which the tests hold this walk.
 """
 
 from __future__ import annotations
@@ -31,8 +31,39 @@ from typing import Iterator
 
 import numpy as np
 
-from .access import AccessModel, QueryLedger
 from .graph import GraphError, LabeledGraph, PublicClusterView, largest_public_cluster
+
+
+class AccessModel(Enum):
+    """``ideal``: a node's report carries each neighbor's privacy flag.
+    ``hidden``: ids only; learning a label costs a query of that node."""
+
+    IDEAL = "ideal"
+    HIDDEN = "hidden"
+
+
+class QueryLedger:
+    """Raw queries, distinct queried nodes and per-sample query counts.
+
+    With ``memoize`` enabled a repeat query of an already-queried node is
+    assumed to be answered from cache and is not counted. Default is off,
+    which matches crawlers that do not store past answers. Only the walk
+    in this module fills a ledger, adding to what it already holds.
+    """
+
+    __slots__ = ("raw_queries", "unique_queried", "per_sample_queries", "memoize")
+
+    def __init__(self, memoize: bool = False):
+        self.raw_queries = 0
+        self.unique_queried: set[int] = set()
+        self.per_sample_queries: list[int] = []
+        self.memoize = memoize
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"QueryLedger(raw={self.raw_queries}, unique={len(self.unique_queried)}, "
+            f"samples={len(self.per_sample_queries)}, memoize={self.memoize})"
+        )
 
 
 class StuckWalkError(RuntimeError):
@@ -67,26 +98,16 @@ class SelectionCounters:
         return self.successes[v] / self.attempts[v]
 
 
+@dataclass(eq=False, slots=True)
 class WalkRecord:
     """Ordered walk output: one (node, degree, public-degree value) per sample."""
 
-    __slots__ = ("nodes", "degrees", "public_degrees", "pubdeg_mode", "ledger", "counters")
-
-    def __init__(
-        self,
-        nodes: np.ndarray,
-        degrees: np.ndarray,
-        public_degrees: np.ndarray,
-        pubdeg_mode: PubdegMode,
-        ledger: QueryLedger | None = None,
-        counters: SelectionCounters | None = None,
-    ):
-        self.nodes = nodes
-        self.degrees = degrees
-        self.public_degrees = public_degrees
-        self.pubdeg_mode = pubdeg_mode
-        self.ledger = ledger
-        self.counters = counters
+    nodes: np.ndarray
+    degrees: np.ndarray
+    public_degrees: np.ndarray
+    pubdeg_mode: PubdegMode
+    ledger: QueryLedger | None = None
+    counters: SelectionCounters | None = None
 
     @property
     def r(self) -> int:
@@ -319,8 +340,9 @@ def _charge(
     ``charged`` lists queried ids in charge order, cut into segments that
     end at ``seg_ends``; segment ``i`` belongs to sample ``seg_sample[i]``.
     ``plain_counts`` is each sample's charge count without memoization.
-    The result equals charging the ids one by one with
-    :meth:`QueryLedger.charge`, after one ``begin_sample`` per sample.
+    The result equals charging the ids one by one, each sample opening a
+    new bucket, as the query-by-query reference in ``tests/oracles.py``
+    does.
     """
     if ledger.memoize:
         # a charge counts when it is the id's first, and the id is new

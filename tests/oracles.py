@@ -4,7 +4,7 @@ Everything here is deliberately naive: flood fill instead of sparse
 component labeling, literal double loops instead of prefix sums, power
 iteration instead of closed forms, exhaustive label enumeration instead
 of moment algebra, and a walk that charges its queries one at a time
-through the access facade. Slow but obviously correct. The two graph
+through the access facade below. Slow but obviously correct. The two graph
 builders take the plain routes: a per-edge ``set`` loop, and an edge-list
 pipeline that sorts its CSR again after keeping the largest component.
 The collision count loops over nodes with one small search per node.
@@ -15,6 +15,7 @@ loops over the grid and the trials.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -29,14 +30,109 @@ from privwalk import (
     StuckWalkError,
     WalkRecord,
     assign_labels_bernoulli,
-    is_public_via_model,
     largest_public_cluster,
-    probe_all_neighbors,
-    query_node,
     run_walk,
 )
 from privwalk.experiment import _write_csv
 from privwalk.walk import pick_seed_node
+
+
+# The access facade defines what neighbor information costs: a crawler
+# gets it from ``query_node`` or ``probe_all_neighbors`` and each query is
+# charged to a ``ReferenceLedger``. ``run_walk`` must charge the same.
+
+
+class PrivateNodeError(Exception):
+    """Raised when a queried node is private. The query still counts."""
+
+    def __init__(self, node: int):
+        super().__init__(f"node {node} is private")
+        self.node = node
+
+
+@dataclass(slots=True)
+class NeighborReport:
+    """Answer to one node query."""
+
+    queried_id: int
+    neighbor_ids: np.ndarray
+    neighbor_private: np.ndarray | None  # None under the hidden model
+    model: AccessModel
+
+    @property
+    def degree(self) -> int:
+        return len(self.neighbor_ids)
+
+
+class ReferenceLedger(QueryLedger):
+    """A ledger charged one query at a time, one bucket per sample."""
+
+    __slots__ = ()
+
+    def begin_sample(self) -> None:
+        self.per_sample_queries.append(0)
+
+    def charge(self, v: int) -> None:
+        if self.memoize and v in self.unique_queried:
+            return
+        self.unique_queried.add(v)
+        self.raw_queries += 1
+        if self.per_sample_queries:
+            self.per_sample_queries[-1] += 1
+
+    def charge_many(self, ids) -> None:
+        if self.memoize:
+            for v in ids:
+                self.charge(int(v))
+            return
+        self.unique_queried.update(int(v) for v in ids)
+        k = len(ids)
+        self.raw_queries += k
+        if self.per_sample_queries:
+            self.per_sample_queries[-1] += k
+
+
+def query_node(g, v: int, model: AccessModel, ledger: ReferenceLedger | None = None):
+    """Query node ``v`` and return its :class:`NeighborReport`.
+
+    Passing ``ledger=None`` leaves the query unaccounted (used for data a
+    crawler already holds, e.g. the report obtained while acquiring the
+    walk seed). Querying a private node raises :class:`PrivateNodeError`
+    after charging the ledger: the failed query was still spent.
+    """
+    if not 0 <= v < g.node_count:
+        raise ValueError(f"node id {v} out of range")
+    if ledger is not None:
+        ledger.charge(v)
+    if g.is_private[v]:
+        raise PrivateNodeError(v)
+    nbrs = g.neighbors(v)
+    flags = g.is_private[nbrs] if model is AccessModel.IDEAL else None
+    return NeighborReport(v, nbrs, flags, model)
+
+
+def is_public_via_model(g, u: int, model: AccessModel, ledger: ReferenceLedger | None = None):
+    """Check a privacy label the way each access model allows.
+
+    Ideal model: the label was already visible in the parent's report, so
+    the check is free. Hidden model: the label is learned by querying
+    ``u`` itself, which costs one query (memoization aside).
+    """
+    if model is AccessModel.HIDDEN and ledger is not None:
+        ledger.charge(u)
+    return not bool(g.is_private[u])
+
+
+def probe_all_neighbors(g, v: int, ledger: ReferenceLedger | None = None) -> np.ndarray:
+    """Hidden-model bulk probe: query every neighbor of ``v`` once.
+
+    Returns a boolean array aligned with ``g.neighbors(v)`` that is True
+    for public neighbors. Charges one query per neighbor.
+    """
+    nbrs = g.neighbors(v)
+    if ledger is not None:
+        ledger.charge_many(nbrs)
+    return ~g.is_private[nbrs]
 
 
 def flood_fill_public_clusters(edges, is_private) -> list[set[int]]:
@@ -286,7 +382,7 @@ def reference_walk(
     r: int,
     pubdeg_mode,
     rng_seed,
-    ledger: QueryLedger | None = None,
+    ledger: ReferenceLedger | None = None,
     *,
     count_visit_queries: bool = False,
 ) -> WalkRecord:
@@ -301,7 +397,7 @@ def reference_walk(
     model = AccessModel(model)
     pubdeg_mode = PubdegMode(pubdeg_mode)
     if ledger is None:
-        ledger = QueryLedger()
+        ledger = ReferenceLedger()
 
     ideal = model is AccessModel.IDEAL
     exact_hidden = pubdeg_mode is PubdegMode.EXACT_HIDDEN

@@ -2,23 +2,19 @@ import numpy as np
 import pytest
 
 from graphgen import regular_edges
-
-from privwalk import (
-    AccessModel,
+from oracles import (
     PrivateNodeError,
-    PubdegMode,
-    QueryLedger,
-    build_graph,
+    ReferenceLedger,
     is_public_via_model,
-    largest_public_cluster,
     probe_all_neighbors,
     query_node,
-    run_walk,
 )
+
+from privwalk import AccessModel, PubdegMode, build_graph, largest_public_cluster, run_walk
 
 
 def test_ideal_report_carries_labels(fixture_graph):
-    ledger = QueryLedger()
+    ledger = ReferenceLedger()
     ledger.begin_sample()
     rep = query_node(fixture_graph, 4, AccessModel.IDEAL, ledger)
     assert rep.model is AccessModel.IDEAL
@@ -39,7 +35,7 @@ def test_hidden_report_hides_labels(fixture_graph):
 
 
 def test_private_node_rejects_query_but_charges(fixture_graph):
-    ledger = QueryLedger()
+    ledger = ReferenceLedger()
     ledger.begin_sample()
     with pytest.raises(PrivateNodeError) as exc:
         query_node(fixture_graph, 1, AccessModel.HIDDEN, ledger)
@@ -49,7 +45,7 @@ def test_private_node_rejects_query_but_charges(fixture_graph):
 
 
 def test_label_check_costs_vary_by_model(fixture_graph):
-    ledger = QueryLedger()
+    ledger = ReferenceLedger()
     ledger.begin_sample()
     assert is_public_via_model(fixture_graph, 5, AccessModel.IDEAL, ledger)
     assert ledger.raw_queries == 0
@@ -59,7 +55,7 @@ def test_label_check_costs_vary_by_model(fixture_graph):
 
 
 def test_probe_all_neighbors_charges_degree(fixture_graph):
-    ledger = QueryLedger()
+    ledger = ReferenceLedger()
     ledger.begin_sample()
     flags = probe_all_neighbors(fixture_graph, 3, ledger)
     assert list(flags) == [False, True]
@@ -67,7 +63,7 @@ def test_probe_all_neighbors_charges_degree(fixture_graph):
 
 
 def test_ledger_per_sample_partition():
-    ledger = QueryLedger()
+    ledger = ReferenceLedger()
     for k in range(5):
         ledger.begin_sample()
         for v in range(k + 1):
@@ -78,8 +74,8 @@ def test_ledger_per_sample_partition():
 
 
 def test_ledger_memoization_dedupes_repeats():
-    plain = QueryLedger()
-    memo = QueryLedger(memoize=True)
+    plain = ReferenceLedger()
+    memo = ReferenceLedger(memoize=True)
     for ledger in (plain, memo):
         ledger.begin_sample()
         ledger.charge(7)

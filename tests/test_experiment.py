@@ -17,6 +17,7 @@ from privwalk import (
     load_config,
     query_census,
     run_experiment,
+    save_labels,
 )
 
 
@@ -105,6 +106,8 @@ def test_load_config_errors(tmp_path):
         ("model = hiden", "model: expected one of ideal, hidden, got 'hiden'"),
         ("pubdeg_mode = aprox",
          "pubdeg_mode: expected one of exact_ideal, exact_hidden, approx_hidden, got 'aprox'"),
+        ("trials = 3\ntrials = 4", "line 3: key trials already set at line 2"),
+        ("base_seed = -1", "base_seed must be at least 0, got -1"),
     ],
 )
 def test_load_config_rejects_out_of_range_values(tmp_path, line, message):
@@ -162,6 +165,12 @@ def test_cli_rejects_bad_grids(tmp_path, capsys, grid):
         (["walk", "{edges}", "--fraction", "1.5"], "--fraction must lie in (0, 1], got 1.5"),
         (["estimate", "{samples}", "--m-fraction", "0"], "--m-fraction must lie in (0, 1], got 0.0"),
         (["estimate", "{samples}", "--m-fraction", "-3"], "--m-fraction must lie in (0, 1], got -3.0"),
+        (["walk", "{edges}", "--length", "10", "--rng-seed", "-1"],
+         "--rng-seed must be at least 0, got -1"),
+        (["walk", "{edges}", "--length", "10", "--seed-pick-seed", "-1"],
+         "--seed-pick-seed must be at least 0, got -1"),
+        (["walk", "{edges}", "--length", "10", "--bernoulli", "0.2", "--label-seed", "-1"],
+         "--label-seed must be at least 0, got -1"),
     ],
 )
 def test_cli_rejects_bad_walk_and_estimate_args(tmp_path, capsys, argv, message):
@@ -172,6 +181,38 @@ def test_cli_rejects_bad_walk_and_estimate_args(tmp_path, capsys, argv, message)
     paths["samples"].write_text("5 3 2.0\n7 2 2.0\n5 3 2.0\n")
     assert main([a.format(**paths) for a in argv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["labels", "theory"])
+def test_cli_rejects_negative_label_seed(tmp_path, capsys, command):
+    from privwalk.cli import main
+
+    edges, out = tmp_path / "edges.txt", tmp_path / "out.txt"
+    write_edge_file(edges, [(0, 1), (1, 2), (2, 3)])
+    argv = [command, str(edges), "--label-seed", "-1", "--out", str(out)]
+    assert main(argv + (["--bernoulli", "0.2"] if command == "labels" else [])) == 1
+    assert capsys.readouterr().err == "error: --label-seed must be at least 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("labels", ["bernoulli", "file"])
+def test_cli_theory_matches_experiment_theory(tmp_path, medium_graph, labels):
+    from privwalk.cli import main
+
+    dataset, label_file = tmp_path / "edges.txt", tmp_path / "labels.txt"
+    src = medium_graph.edge_sources()
+    write_edge_file(dataset, [(u, v) for u, v in zip(src, medium_graph.indices) if u < v])
+    save_labels(assign_labels_bernoulli(medium_graph, 0.2, 8), label_file)
+    cfg = _cfg(tmp_path, dataset=str(dataset), labels=labels, label_file=str(label_file),
+               p_grid=(0.0, 0.1, 0.25), base_seed=7, trials=1, sample_sizes=(50,))
+    run_experiment(cfg)
+    argv = ["theory", str(dataset), "--out", str(tmp_path / "cli.csv")]
+    argv += ["--label-file", str(label_file)] if labels == "file" else [
+        "--p-grid", "0.0, 0.1, 0.25", "--label-seed", "7"]
+    assert main(argv) == 0
+    theory = (tmp_path / "out" / "theory.csv").read_bytes()
+    assert (tmp_path / "cli.csv").read_bytes() == theory
+    assert theory.count(b"\n") == (4 if labels == "bernoulli" else 2)
 
 
 def test_cli_m_fraction_one_clamps_to_r_minus_one(tmp_path, capsys):

@@ -24,7 +24,6 @@ def test_path_graph_basics():
     assert list(g.degrees) == [1, 2, 1]
     assert g.degree_sum == 4
     assert list(g.neighbors(1)) == [0, 2]
-    assert g.label_origin.kind == "all_public"
 
 
 def test_adjacency_is_symmetric_and_sorted():
@@ -75,7 +74,6 @@ def test_bernoulli_is_deterministic_and_shares_adjacency():
     g2 = assign_labels_bernoulli(g, 0.4, 123)
     assert np.array_equal(g1.is_private, g2.is_private)
     assert g1.indices is g.indices
-    assert g1.label_origin.kind == "bernoulli" and g1.label_origin.p == 0.4
 
 
 def test_bernoulli_private_fraction_concentrates():
@@ -147,7 +145,7 @@ def test_no_public_nodes_is_an_error():
 
 def test_star_cluster_degrees():
     g = build_graph(star_edges(8), [False] * 8)
-    gl = g.with_labels([False] + [False] * 4 + [True] * 3, g.label_origin)
+    gl = g.with_labels([False] + [False] * 4 + [True] * 3)
     view = largest_public_cluster(gl)
     assert view.member_count == 5
     assert view.public_degree[0] == 4

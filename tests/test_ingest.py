@@ -122,16 +122,13 @@ def test_empty_edge_list_is_an_error(tmp_path):
 
 def test_label_round_trip(tmp_path):
     g = load_edge_list(_write(tmp_path / "e.txt", "10 20\n20 30\n30 40\n"))
-    gl = g.with_labels(
-        np.array([True, False, False, True]), g.label_origin
-    )
+    gl = g.with_labels(np.array([True, False, False, True]))
     out = tmp_path / "labels.txt"
     save_labels(gl, out)
     text = out.read_text()
     assert "10 1" in text and "20 0" in text
     g2 = load_labels(out, g)
     assert np.array_equal(g2.is_private, gl.is_private)
-    assert g2.label_origin.kind == "file"
 
 
 def test_label_tokens_and_strictness(tmp_path):

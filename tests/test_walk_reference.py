@@ -5,12 +5,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from graphgen import random_connected_edges
-from oracles import reference_walk
+from oracles import ReferenceLedger, reference_walk
 
 from privwalk import (
     GraphError,
     PubdegMode,
-    QueryLedger,
     assign_labels_bernoulli,
     build_graph,
     largest_public_cluster,
@@ -48,7 +47,7 @@ def walk_cases(draw):
 
 
 def _ledger(case):
-    ledger = QueryLedger(memoize=case["memoize"])
+    ledger = ReferenceLedger(memoize=case["memoize"])
     if case["prior"]:
         ledger.begin_sample()
         for v in case["prior"]:
