@@ -12,7 +12,10 @@ import sys
 
 from .estimators import NoCollisionError, build_report, default_gap_threshold
 from .experiment import (
+    _check_at_least,
+    _check_fraction,
     _parse_floats,
+    _walk_length,
     _write_csv,
     _write_theory,
     load_config,
@@ -24,31 +27,23 @@ from .ingest import IngestError, load_edge_list, load_labels, load_sample_record
 from .walk import PubdegMode, QueryLedger, StuckWalkError, pick_seed_node, run_walk
 
 
-def _check_fraction(flag: str, x: float) -> None:
-    if not 0.0 < x <= 1.0:
-        raise ValueError(f"{flag} must lie in (0, 1], got {x}")
-
-
-def _check_seeds(args) -> None:
-    for name in ("label_seed", "rng_seed", "seed_pick_seed"):
-        x = getattr(args, name, None)
-        if x is not None and x < 0:
-            raise ValueError(f"--{name.replace('_', '-')} must be at least 0, got {x}")
-
-
 def _load_labeled(args) -> LabeledGraph:
+    if args.label_file and args.bernoulli is not None:
+        raise ValueError("--label-file excludes --bernoulli")
+    if args.label_seed is not None and args.bernoulli is None:
+        raise ValueError("--label-seed requires --bernoulli")
     g = load_edge_list(args.edges)
-    if getattr(args, "label_file", None):
-        g = load_labels(args.label_file, g, strict=not getattr(args, "lenient", False))
-    elif getattr(args, "bernoulli", None) is not None:
-        g = assign_labels_bernoulli(g, args.bernoulli, getattr(args, "label_seed", 0))
+    if args.label_file:
+        g = load_labels(args.label_file, g, strict=not args.lenient)
+    elif args.bernoulli is not None:
+        g = assign_labels_bernoulli(g, args.bernoulli, args.label_seed or 0)
     return g
 
 
 def _add_label_opts(sub) -> None:
     sub.add_argument("--label-file", help="per-node label file (original ids)")
     sub.add_argument("--bernoulli", type=float, help="draw labels with this privacy rate")
-    sub.add_argument("--label-seed", type=int, default=0, help="seed for --bernoulli")
+    sub.add_argument("--label-seed", type=int, help="seed for --bernoulli (default 0)")
     sub.add_argument("--lenient", action="store_true", help="tolerate incomplete label files")
 
 
@@ -92,10 +87,7 @@ def _cmd_walk(args) -> int:
         _check_fraction("--fraction", args.fraction)
     g = _load_labeled(args)
     view = largest_public_cluster(g)
-    if args.length is not None:
-        r = args.length
-    else:
-        r = max(2, int(round(args.fraction * g.node_count)))
+    r = args.length if args.length is not None else _walk_length(args.fraction, g.node_count)
     if args.seed_node is not None:
         seed_node = args.seed_node
     else:
@@ -151,13 +143,15 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_theory(args) -> int:
+    if args.label_file and (args.p_grid is not None or args.label_seed is not None):
+        raise ValueError("--label-file excludes --p-grid and --label-seed")
     g = load_edge_list(args.edges)
     if args.label_file:
         g = load_labels(args.label_file, g, strict=not args.lenient)
         p_grid = None
     else:
-        p_grid = _parse_floats(args.p_grid)
-    count = _write_theory(args.out, g, p_grid, args.label_seed)
+        p_grid = _parse_floats("0.0:0.3:0.03" if args.p_grid is None else args.p_grid)
+    count = _write_theory(args.out, g, p_grid, args.label_seed or 0)
     print(f"wrote {args.out} ({count} rows)")
     return 0
 
@@ -234,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("edges")
     p.add_argument("--label-file", help="use real labels instead of a p grid")
     p.add_argument("--lenient", action="store_true")
-    p.add_argument("--p-grid", default="0.0:0.3:0.03", help="'start:stop:step' or comma list")
-    p.add_argument("--label-seed", type=int, default=0)
+    p.add_argument("--p-grid", help="'start:stop:step' or comma list (default 0.0:0.3:0.03)")
+    p.add_argument("--label-seed", type=int, help="seed for the p grid's labels (default 0)")
     p.add_argument("--out", default="theory.csv")
     p.set_defaults(func=_cmd_theory)
 
@@ -253,7 +247,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_seeds(args)
+        for name in ("label_seed", "rng_seed", "seed_pick_seed"):
+            if getattr(args, name, None) is not None:
+                _check_at_least(f"--{name.replace('_', '-')}", getattr(args, name), 0)
         return args.func(args)
     except (GraphError, IngestError, NoCollisionError, StuckWalkError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -19,14 +19,14 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 from multiprocessing import get_context
 
 import numpy as np
 
 from .estimators import NoCollisionError, build_report, default_gap_threshold
 from .graph import GraphError, LabeledGraph, assign_labels_bernoulli, largest_public_cluster
-from .ingest import load_edge_list, load_labels
+from .ingest import _data_lines, load_edge_list, load_labels
 from .theory import THEORY_COLUMNS, convergence_values, theory_report_rows
 from .walk import (
     AccessModel,
@@ -43,8 +43,24 @@ ESTIMATOR_NAMES = ("nc_size", "proposed_size", "smooth_avg_degree", "proposed_av
 CENSUS_MODES = (PubdegMode.EXACT_HIDDEN, PubdegMode.APPROX_HIDDEN)
 
 
+def _check_fraction(name: str, x: float) -> None:
+    if not 0.0 < x <= 1.0:
+        raise ValueError(f"{name} must lie in (0, 1], got {x}")
+
+
+def _check_at_least(name: str, x: int, k: int) -> None:
+    if x < k:
+        raise ValueError(f"{name} must be at least {k}, got {x}")
+
+
+def _walk_length(fraction: float, n: int) -> int:
+    return max(2, int(round(fraction * n)))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings; construction rejects what a config file may not hold."""
+
     dataset: str
     labels: str = "bernoulli"  # "bernoulli" or "file"
     label_file: str | None = None
@@ -52,7 +68,7 @@ class ExperimentConfig:
     model: AccessModel = AccessModel.HIDDEN
     pubdeg_mode: PubdegMode = PubdegMode.APPROX_HIDDEN
     sample_fractions: tuple[float, ...] | None = (0.01,)
-    sample_sizes: tuple[int, ...] | None = None
+    sample_sizes: tuple[int, ...] | None = None  # overrides sample_fractions
     m_fraction: float = 0.025
     trials: int = 1000
     base_seed: int = 1
@@ -61,6 +77,32 @@ class ExperimentConfig:
     count_visit_queries: bool = False
     census_memoize: bool = False
     workers: int = 1
+
+    def __post_init__(self):
+        if self.labels not in ("bernoulli", "file"):
+            raise ValueError("labels must be 'bernoulli' or 'file'")
+        if self.labels == "file" and not self.label_file:
+            raise ValueError("labels = file requires label_file")
+        if self.labels != "file" and self.label_file:
+            raise ValueError("label_file requires labels = file")
+        if self.nrmse_target not in ("estimates", "convergence"):
+            raise ValueError("nrmse_target must be 'estimates' or 'convergence'")
+        _check_at_least("trials", self.trials, 1)
+        _check_at_least("workers", self.workers, 1)
+        _check_at_least("base_seed", self.base_seed, 0)
+        if not self.p_grid:
+            raise ValueError("p_grid is empty")
+        for p in self.p_grid:
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"p_grid values must lie in [0, 1], got {p}")
+        for f in self.sample_fractions or ():
+            _check_fraction("sample_fraction", f)
+        for r in self.sample_sizes or ():
+            _check_at_least("sample_size", r, 2)
+        if not (self.sample_fractions if self.sample_sizes is None else self.sample_sizes):
+            raise ValueError("no walk length: sample_size, or else sample_fraction, is empty")
+        _check_fraction("m_fraction", self.m_fraction)
+        PubdegMode(self.pubdeg_mode).check_model(AccessModel(self.model))
 
 
 @dataclass(frozen=True)
@@ -75,9 +117,6 @@ class NrmseRow:
     failed_trials: int
     mean_query_ratio: float
     trials: int
-
-
-_BOOL_TOKENS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 def _parse_floats(s: str) -> tuple[float, ...]:
@@ -107,118 +146,78 @@ def _parse_floats(s: str) -> tuple[float, ...]:
     return values
 
 
+def _parse_bool(token: str) -> bool:
+    tokens = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+    if token.lower() not in tokens:
+        raise ValueError(token)
+    return tokens[token.lower()]
+
+
+def _parse_ints(token: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in token.split(","))
+
+
+def _one_of(enum) -> str:
+    return "one of " + ", ".join(e.value for e in enum)
+
+
+# config key -> (ExperimentConfig field, parser, expected-value text); a key
+# without the text reports its parser's own message
+_CONFIG_KEYS = {
+    "dataset": ("dataset", str, None),
+    "labels": ("labels", str, None),
+    "label_file": ("label_file", str, None),
+    "p_grid": ("p_grid", _parse_floats, None),
+    "model": ("model", AccessModel, _one_of(AccessModel)),
+    "pubdeg_mode": ("pubdeg_mode", PubdegMode, _one_of(PubdegMode)),
+    "sample_fraction": ("sample_fractions", _parse_floats, None),
+    "sample_size": ("sample_sizes", _parse_ints, "comma-separated integers"),
+    "m_fraction": ("m_fraction", float, "a number"),
+    "trials": ("trials", int, "an integer"),
+    "base_seed": ("base_seed", int, "an integer"),
+    "outdir": ("outdir", str, None),
+    "nrmse_target": ("nrmse_target", str, None),
+    "count_visit_queries": ("count_visit_queries", _parse_bool, "true/false"),
+    "census_memoize": ("census_memoize", _parse_bool, "true/false"),
+    "workers": ("workers", int, "an integer"),
+}
+
+
 def load_config(path) -> ExperimentConfig:
-    """Parse a ``key = value`` config file (see README for the key list)."""
-    raw: dict[str, str] = {}
-    set_at: dict[str, int] = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            s = line.strip()
-            if not s or s.startswith("#"):
-                continue
-            if "=" not in s:
-                raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
-            key, _, value = s.partition("=")
-            key = key.strip()
-            if key in set_at:
-                raise ValueError(
-                    f"{path}: line {lineno}: key {key} already set at line {set_at[key]}"
-                )
-            raw[key], set_at[key] = value.strip(), lineno
-
-    def pop_bool(key: str, default: bool) -> bool:
-        if key not in raw:
-            return default
-        token = raw.pop(key).lower()
-        if token not in _BOOL_TOKENS:
-            raise ValueError(f"{path}: {key} must be true/false, got {token!r}")
-        return _BOOL_TOKENS[token]
-
-    def pop_value(key: str, default: str, convert, expected: str):
-        token = raw.pop(key, default)
-        try:
-            return convert(token)
-        except ValueError:
-            raise ValueError(f"{path}: {key}: expected {expected}, got {token!r}") from None
-
-    def pop_enum(key: str, default: str, enum):
-        allowed = ", ".join(e.value for e in enum)
-        return pop_value(key, default, enum, f"one of {allowed}")
-
-    def pop_grid(key: str, default: str) -> tuple[float, ...]:
-        try:
-            return _parse_floats(raw.pop(key, default))
-        except ValueError as e:
-            raise ValueError(f"{path}: {key}: {e}") from None
-
+    """Parse a ``key = value`` config file; ``ExperimentConfig`` checks the values."""
+    raw: dict[str, tuple[str, int]] = {}  # key -> (value, line number)
+    for lineno, s in _data_lines(path):
+        if "=" not in s:
+            raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
+        key, _, value = s.partition("=")
+        key = key.strip()
+        if key in raw:
+            raise ValueError(f"{path}: line {lineno}: key {key} already set at line {raw[key][1]}")
+        raw[key] = value.strip(), lineno
     if "dataset" not in raw:
         raise ValueError(f"{path}: missing required key 'dataset'")
-    cfg = ExperimentConfig(
-        dataset=raw.pop("dataset"),
-        labels=raw.pop("labels", "bernoulli"),
-        label_file=raw.pop("label_file", None),
-        p_grid=pop_grid("p_grid", "0.0"),
-        model=pop_enum("model", "hidden", AccessModel),
-        pubdeg_mode=pop_enum("pubdeg_mode", "approx_hidden", PubdegMode),
-        sample_fractions=(
-            pop_grid("sample_fraction", "") if "sample_fraction" in raw else None
-        ),
-        sample_sizes=(
-            pop_value("sample_size", "", lambda t: tuple(int(x) for x in t.split(",")),
-                      "comma-separated integers")
-            if "sample_size" in raw
-            else None
-        ),
-        m_fraction=pop_value("m_fraction", "0.025", float, "a number"),
-        trials=pop_value("trials", "1000", int, "an integer"),
-        base_seed=pop_value("base_seed", "1", int, "an integer"),
-        outdir=raw.pop("outdir", "results"),
-        nrmse_target=raw.pop("nrmse_target", "estimates"),
-        count_visit_queries=pop_bool("count_visit_queries", False),
-        census_memoize=pop_bool("census_memoize", False),
-        workers=pop_value("workers", "1", int, "an integer"),
-    )
-    if cfg.sample_fractions is None and cfg.sample_sizes is None:
-        cfg = replace(cfg, sample_fractions=(0.01,))
-    if raw:
-        raise ValueError(f"{path}: unknown config keys: {', '.join(sorted(raw))}")
-    if cfg.labels not in ("bernoulli", "file"):
-        raise ValueError(f"{path}: labels must be 'bernoulli' or 'file'")
-    if cfg.labels == "file" and not cfg.label_file:
-        raise ValueError(f"{path}: labels = file requires label_file")
-    if cfg.nrmse_target not in ("estimates", "convergence"):
-        raise ValueError(f"{path}: nrmse_target must be 'estimates' or 'convergence'")
-    if cfg.trials < 1:
-        raise ValueError(f"{path}: trials must be at least 1, got {cfg.trials}")
-    if cfg.workers < 1:
-        raise ValueError(f"{path}: workers must be at least 1, got {cfg.workers}")
-    if cfg.base_seed < 0:
-        raise ValueError(f"{path}: base_seed must be at least 0, got {cfg.base_seed}")
-    for p in cfg.p_grid:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"{path}: p_grid values must lie in [0, 1], got {p}")
-    for f in cfg.sample_fractions or ():
-        if not 0.0 < f <= 1.0:
-            raise ValueError(f"{path}: sample_fraction must lie in (0, 1], got {f}")
-    for r in cfg.sample_sizes or ():
-        if r < 2:
-            raise ValueError(f"{path}: sample_size must be at least 2, got {r}")
-    if not 0.0 < cfg.m_fraction <= 1.0:
-        raise ValueError(f"{path}: m_fraction must lie in (0, 1], got {cfg.m_fraction}")
-    if cfg.model is not cfg.pubdeg_mode.access_model:
-        raise ValueError(
-            f"{path}: pubdeg_mode = {cfg.pubdeg_mode.value} requires "
-            f"model = {cfg.pubdeg_mode.access_model.value}, got model = {cfg.model.value}"
-        )
-    return cfg
+    unknown = sorted(raw.keys() - _CONFIG_KEYS.keys())
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    kwargs = {}
+    for key, (token, _) in raw.items():
+        name, parse, expected = _CONFIG_KEYS[key]
+        try:
+            kwargs[name] = parse(token)
+        except ValueError as e:
+            why = e if expected is None else f"expected {expected}, got {token!r}"
+            raise ValueError(f"{path}: {key}: {why}") from None
+    if "sample_sizes" in kwargs:  # the fraction's default yields to a given size
+        kwargs.setdefault("sample_fractions", None)
+    try:
+        return ExperimentConfig(**kwargs)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _cells(cfg: ExperimentConfig, n: int) -> list[tuple[float | None, int]]:
     """The run's (p, r) grid cells; p is None when the labels come from a file."""
-    if cfg.sample_sizes is not None:
-        sizes = cfg.sample_sizes
-    else:
-        sizes = tuple(max(2, int(round(f * n))) for f in cfg.sample_fractions)
+    sizes = cfg.sample_sizes or tuple(_walk_length(f, n) for f in cfg.sample_fractions)
     p_cells: list[float | None] = [None] if cfg.labels == "file" else list(cfg.p_grid)
     return [(p, r) for p in p_cells for r in sizes]
 

@@ -86,6 +86,14 @@ class PubdegMode(Enum):
     def access_model(self) -> AccessModel:
         return AccessModel.IDEAL if self is PubdegMode.EXACT_IDEAL else AccessModel.HIDDEN
 
+    def check_model(self, model: AccessModel) -> None:
+        """Raise ValueError unless ``model`` is this mode's access model."""
+        if model is not self.access_model:
+            raise ValueError(
+                f"pubdeg_mode = {self.value} requires "
+                f"model = {self.access_model.value}, got model = {model.value}"
+            )
+
 
 @dataclass
 class SelectionCounters:
@@ -195,11 +203,7 @@ def run_walk(
     """
     model = AccessModel(model)
     pubdeg_mode = PubdegMode(pubdeg_mode)
-    if model is not pubdeg_mode.access_model:
-        raise ValueError(
-            f"pubdeg mode {pubdeg_mode.value} requires the "
-            f"{pubdeg_mode.access_model.value} access model"
-        )
+    pubdeg_mode.check_model(model)
     probes = _selections(g, seed_node, r, rng_seed, view)
     return _record(g, int(seed_node), probes, pubdeg_mode, ledger, count_visit_queries)
 

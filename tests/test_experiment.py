@@ -117,6 +117,33 @@ def test_load_config_rejects_out_of_range_values(tmp_path, line, message):
 
 
 @pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(trials=0), "trials must be at least 1, got 0"),
+        (dict(workers=0), "workers must be at least 1, got 0"),
+        (dict(base_seed=-1), "base_seed must be at least 0, got -1"),
+        (dict(m_fraction=0), r"m_fraction must lie in \(0, 1\], got 0"),
+        (dict(sample_fractions=(2.0,)), r"sample_fraction must lie in \(0, 1\], got 2.0"),
+        (dict(sample_sizes=(1,)), "sample_size must be at least 2, got 1"),
+        (dict(p_grid=(1.5,)), r"p_grid values must lie in \[0, 1\], got 1.5"),
+        (dict(p_grid=()), "p_grid is empty"),
+        (dict(sample_fractions=None, sample_sizes=()), "no walk length"),
+        (dict(nrmse_target="bogus"), "nrmse_target must be 'estimates' or 'convergence'"),
+        (dict(labels="fiel"), "labels must be 'bernoulli' or 'file'"),
+        (dict(labels="file"), "labels = file requires label_file"),
+        (dict(labels="bernoulli", label_file="labels.txt"), "label_file requires labels = file"),
+        (dict(model=AccessModel.IDEAL, pubdeg_mode=PubdegMode.APPROX_HIDDEN),
+         "pubdeg_mode = approx_hidden requires model = hidden, got model = ideal"),
+    ],
+)
+def test_code_built_config_obeys_the_file_rules(tmp_path, kw, message):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"^{message}"):
+        ExperimentConfig(dataset="unused", outdir=str(out), **kw)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "grid, message",
     [
         ("0:0.3:0", "step must be non-zero"),
@@ -195,6 +222,47 @@ def test_cli_rejects_negative_label_seed(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["labels", "--bernoulli", "0.2", "--label-file", "{labels}"],
+         "--label-file excludes --bernoulli"),
+        (["walk", "--length", "5", "--bernoulli", "0.2", "--label-file", "{labels}"],
+         "--label-file excludes --bernoulli"),
+        (["labels", "--label-seed", "5"], "--label-seed requires --bernoulli"),
+        (["walk", "--length", "5", "--label-seed", "5"], "--label-seed requires --bernoulli"),
+        (["walk", "--length", "5", "--label-seed", "5", "--label-file", "{labels}"],
+         "--label-seed requires --bernoulli"),
+        (["theory", "--label-file", "{labels}", "--p-grid", "0.1"],
+         "--label-file excludes --p-grid and --label-seed"),
+        (["theory", "--label-file", "{labels}", "--label-seed", "5"],
+         "--label-file excludes --p-grid and --label-seed"),
+    ],
+)
+def test_cli_rejects_conflicting_label_flags(tmp_path, capsys, argv, message):
+    from privwalk.cli import main
+
+    edges, labels, out = tmp_path / "edges.txt", tmp_path / "labels.txt", tmp_path / "out.txt"
+    write_edge_file(edges, [(0, 1), (1, 2), (2, 3)])
+    labels.write_text("0 0\n1 0\n2 1\n3 0\n")
+    argv = [argv[0], str(edges), *(a.format(labels=labels) for a in argv[1:]), "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_theory_default_grid(tmp_path, capsys):
+    from privwalk.cli import main
+
+    edges, out = tmp_path / "edges.txt", tmp_path / "theory.csv"
+    write_edge_file(edges, random_connected_edges(20, 30, seed=3))
+    assert main(["theory", str(edges), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out} (11 rows)\n"
+    explicit = tmp_path / "explicit.csv"
+    assert main(["theory", str(edges), "--p-grid", "0.0:0.3:0.03", "--out", str(explicit)]) == 0
+    assert explicit.read_bytes() == out.read_bytes()
+
+
 @pytest.mark.parametrize("labels", ["bernoulli", "file"])
 def test_cli_theory_matches_experiment_theory(tmp_path, medium_graph, labels):
     from privwalk.cli import main
@@ -203,7 +271,8 @@ def test_cli_theory_matches_experiment_theory(tmp_path, medium_graph, labels):
     src = medium_graph.edge_sources()
     write_edge_file(dataset, [(u, v) for u, v in zip(src, medium_graph.indices) if u < v])
     save_labels(assign_labels_bernoulli(medium_graph, 0.2, 8), label_file)
-    cfg = _cfg(tmp_path, dataset=str(dataset), labels=labels, label_file=str(label_file),
+    cfg = _cfg(tmp_path, dataset=str(dataset), labels=labels,
+               label_file=str(label_file) if labels == "file" else None,
                p_grid=(0.0, 0.1, 0.25), base_seed=7, trials=1, sample_sizes=(50,))
     run_experiment(cfg)
     argv = ["theory", str(dataset), "--out", str(tmp_path / "cli.csv")]
@@ -213,6 +282,20 @@ def test_cli_theory_matches_experiment_theory(tmp_path, medium_graph, labels):
     theory = (tmp_path / "out" / "theory.csv").read_bytes()
     assert (tmp_path / "cli.csv").read_bytes() == theory
     assert theory.count(b"\n") == (4 if labels == "bernoulli" else 2)
+
+
+def test_cli_and_experiment_share_the_walk_length_rule(tmp_path, capsys):
+    from privwalk.cli import main
+    from privwalk.experiment import _cells
+
+    edges = tmp_path / "edges.txt"
+    write_edge_file(edges, random_connected_edges(10, 20, seed=3))
+    # 0.38 * 10 rounds up to 4; 0.05 * 10 rounds to 0 and is raised to 2
+    cfg = ExperimentConfig(dataset=str(edges), sample_fractions=(0.38, 0.05))
+    assert _cells(cfg, 10) == [(0.0, 4), (0.0, 2)]
+    for fraction, samples in (("0.38", 4), ("0.05", 2)):
+        assert main(["walk", str(edges), "--fraction", fraction]) == 0
+        assert f"samples {samples}\n" in capsys.readouterr().out
 
 
 def test_cli_m_fraction_one_clamps_to_r_minus_one(tmp_path, capsys):
