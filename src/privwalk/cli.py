@@ -250,6 +250,8 @@ def main(argv=None) -> int:
         for name in ("label_seed", "rng_seed", "seed_pick_seed"):
             if getattr(args, name, None) is not None:
                 _check_at_least(f"--{name.replace('_', '-')}", getattr(args, name), 0)
+        if getattr(args, "lenient", False) and not args.label_file:
+            raise ValueError("--lenient requires --label-file")
         return args.func(args)
     except (GraphError, IngestError, NoCollisionError, StuckWalkError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -25,7 +25,8 @@ from multiprocessing import get_context
 import numpy as np
 
 from .estimators import NoCollisionError, build_report, default_gap_threshold
-from .graph import GraphError, LabeledGraph, assign_labels_bernoulli, largest_public_cluster
+from .graph import GraphError, LabeledGraph, _check_rate, assign_labels_bernoulli
+from .graph import largest_public_cluster
 from .ingest import _data_lines, load_edge_list, load_labels
 from .theory import THEORY_COLUMNS, convergence_values, theory_report_rows
 from .walk import (
@@ -93,8 +94,7 @@ class ExperimentConfig:
         if not self.p_grid:
             raise ValueError("p_grid is empty")
         for p in self.p_grid:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"p_grid values must lie in [0, 1], got {p}")
+            _check_rate(p, "p_grid values")
         for f in self.sample_fractions or ():
             _check_fraction("sample_fraction", f)
         for r in self.sample_sizes or ():
@@ -246,15 +246,15 @@ def _pool_trial(args):  # pragma: no cover - exercised only with workers > 1
 def _run_cells(g: LabeledGraph, cfg: ExperimentConfig, trial, cells) -> list[list]:
     """Each cell's outcomes of ``trial(g, cfg, p, r, seed)``, in seed order.
 
-    With ``workers > 1`` one process pool serves every trial of the run,
-    so the graph is sent to each worker once.
+    With ``workers > 1`` one pool of at most ``os.cpu_count()`` processes
+    serves every trial of the run, so the graph is sent to each worker once.
     """
     tasks = [(p, r, cfg.base_seed + t) for p, r in cells for t in range(cfg.trials)]
     if cfg.workers <= 1:
         outcomes = [trial(g, cfg, p, r, seed) for p, r, seed in tasks]
     else:
         with ProcessPoolExecutor(
-            max_workers=cfg.workers,
+            max_workers=min(cfg.workers, os.cpu_count() or 1),
             mp_context=get_context("spawn"),
             initializer=_pool_init,
             initargs=(g, cfg, trial),
@@ -313,13 +313,13 @@ def _census_trial(g, cfg: ExperimentConfig, p: float | None, r: int, trial_seed:
     None when the trial has no walk; one walk feeds both modes' ledgers."""
     try:
         gl, view, seed_node, walk_seed = _trial_context(g, p, trial_seed)
-        probes = _selections(gl, seed_node, r, walk_seed, view)
+        probes = _selections(gl, view, seed_node, r, walk_seed)
     except (GraphError, StuckWalkError):
         return None
     out = []
     for mode in CENSUS_MODES:
         ledger = QueryLedger(memoize=cfg.census_memoize)
-        _record(gl, seed_node, probes, mode, ledger, cfg.count_visit_queries)
+        _record(gl, view, seed_node, probes, mode, ledger, cfg.count_visit_queries)
         out.append((len(ledger.unique_queried) / g.node_count, ledger.raw_queries))
     return out
 

@@ -1,9 +1,10 @@
 """Immutable labeled-graph storage and public-cluster decomposition.
 
 Adjacency is held in compressed sparse row form (``indptr``/``indices``
-with sorted neighbor lists) plus one privacy flag per node. All arrays
-are frozen after construction, so graphs and cluster views can be shared
-freely across threads and worker processes.
+with sorted neighbor lists) plus one privacy flag per node; this module
+builds and restricts every CSR. All arrays are frozen after construction
+and nothing is cached, so graphs and cluster views can be shared freely
+across threads and worker processes.
 """
 
 from __future__ import annotations
@@ -26,6 +27,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_rate(p: float, name: str = "privacy rate") -> None:
+    """Raise :class:`GraphError` unless the privacy rate ``p`` lies in [0, 1]."""
+    if not 0.0 <= p <= 1.0:
+        raise GraphError(f"{name} must lie in [0, 1], got {p}")
+
+
 class LabeledGraph:
     """Undirected, connected, simple graph with per-node privacy labels.
 
@@ -34,7 +41,7 @@ class LabeledGraph:
     the adjacency arrays.
     """
 
-    __slots__ = ("indptr", "indices", "is_private", "orig_ids", "_shared")
+    __slots__ = ("indptr", "indices", "is_private", "orig_ids", "degrees")
 
     def __init__(
         self,
@@ -42,26 +49,18 @@ class LabeledGraph:
         indices: np.ndarray,
         is_private: np.ndarray,
         orig_ids: np.ndarray | None = None,
-        _shared: dict | None = None,
     ):
         self.indptr = _freeze(np.asarray(indptr, dtype=np.int64))
         self.indices = _freeze(np.asarray(indices))
         self.is_private = _freeze(np.asarray(is_private, dtype=bool))
         self.orig_ids = _freeze(np.asarray(orig_ids)) if orig_ids is not None else None
-        # caches derived from the adjacency only, shared across relabelings
-        self._shared = _shared if _shared is not None else {}
+        self.degrees = _freeze(np.diff(self.indptr))
 
     # -- basic shape ---------------------------------------------------
 
     @property
     def node_count(self) -> int:
         return self.indptr.size - 1
-
-    @property
-    def degrees(self) -> np.ndarray:
-        if "degrees" not in self._shared:
-            self._shared["degrees"] = _freeze(np.diff(self.indptr))
-        return self._shared["degrees"]
 
     @property
     def degree_sum(self) -> int:
@@ -85,10 +84,7 @@ class LabeledGraph:
 
     def edge_sources(self) -> np.ndarray:
         """Source id for every directed adjacency entry, aligned with ``indices``."""
-        if "edge_src" not in self._shared:
-            src = np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
-            self._shared["edge_src"] = _freeze(src)
-        return self._shared["edge_src"]
+        return np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
 
     # -- labels ---------------------------------------------------------
 
@@ -105,7 +101,7 @@ class LabeledGraph:
         is_private = np.asarray(is_private, dtype=bool)
         if is_private.shape != (self.node_count,):
             raise GraphError("label vector length does not match node count")
-        return LabeledGraph(self.indptr, self.indices, is_private, self.orig_ids, self._shared)
+        return LabeledGraph(self.indptr, self.indices, is_private, self.orig_ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -209,20 +205,31 @@ def build_graph(
 def _csr_from_pairs(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric CSR ``(indptr, indices)`` with sorted rows.
 
-    ``lo < hi`` lists each undirected edge over ``0..n-1`` once.
+    Each pair ``lo < hi`` is an undirected edge over ``0..n-1``; pairs may
+    repeat, and a repeated edge is kept once.
     """
     key = np.concatenate([lo * n + hi, hi * n + lo])
     key.sort()
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
     src, dst = np.divmod(key, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return indptr, dst
 
 
+def _restrict(indptr, indices, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR entries whose two ends are both ``keep``; every other row is empty."""
+    entry = np.repeat(keep, np.diff(indptr)) & keep[indices]
+    kept = np.zeros(entry.size + 1, dtype=np.int64)
+    np.cumsum(entry, out=kept[1:])
+    return kept[indptr], indices[entry]
+
+
 def _components(indptr: np.ndarray, indices: np.ndarray, n: int) -> tuple[int, np.ndarray]:
     """Connected components of a symmetric CSR: count and per-node label.
 
-    Labels number the components in order of their smallest node id.
+    Labels number the components in order of their smallest node id, so
+    ``np.argmax`` of the label counts breaks size ties toward that node.
     """
     adj = csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(n, n))
     return connected_components(adj, directed=False)
@@ -234,8 +241,7 @@ def assign_labels_bernoulli(g: LabeledGraph, p: float, rng_seed) -> LabeledGraph
     ``rng_seed`` is anything accepted by :func:`numpy.random.default_rng`.
     ``p = 0`` and ``p = 1`` are exact (no node, every node private).
     """
-    if not 0.0 <= p <= 1.0:
-        raise GraphError(f"privacy rate must lie in [0, 1], got {p}")
+    _check_rate(p)
     rng = np.random.default_rng(rng_seed)
     is_private = rng.random(g.node_count) < p
     return g.with_labels(is_private)
@@ -250,36 +256,20 @@ def largest_public_cluster(g: LabeledGraph) -> PublicClusterView:
     pub = ~g.is_private
     if not pub.any():
         raise GraphError("graph has no public node")
-    n = g.node_count
-
-    src = g.edge_sources()
-    dst = g.indices
-    keep = pub[src] & pub[dst]
-    kept_dst = dst[keep]
+    indptr, indices = _restrict(g.indptr, g.indices, pub)
     # public-neighbor count per node; for cluster members this equals the
     # number of neighbors inside their own cluster
-    pub_deg = np.bincount(src[keep], minlength=n).astype(np.int64)
+    pub_deg = np.diff(indptr)
+    _, comp = _components(indptr, indices, g.node_count)
 
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(pub_deg, out=indptr[1:])
-    n_comp, comp = _components(indptr, kept_dst, n)
-
-    comp_pub = comp[pub]
-    counts = np.bincount(comp_pub, minlength=n_comp)
-    pub_sizes = counts[comp_pub]  # per public node, the size of its cluster
-
-    max_size = int(pub_sizes.max())
-    # first public node (smallest id) sitting in a maximum-size cluster
-    chosen = comp_pub[int(np.argmax(pub_sizes == max_size))]
-
-    member_flag = pub & (comp == chosen)
+    # private nodes are isolated here, so each component with a public
+    # node is a public cluster
+    counts = np.bincount(comp[pub])
+    member_flag = comp == np.argmax(counts)
     public_degree = np.where(member_flag, pub_deg, 0)
 
-    sizes = counts[counts > 0]
-    uniq, cnt = np.unique(sizes, return_counts=True)
-    census = tuple(
-        (int(s), int(c)) for s, c in sorted(zip(uniq, cnt), key=lambda t: -t[0])
-    )
+    uniq, cnt = np.unique(counts[counts > 0], return_counts=True)
+    census = tuple(zip(uniq[::-1].tolist(), cnt[::-1].tolist()))
 
     return PublicClusterView(
         member_flag=_freeze(member_flag),

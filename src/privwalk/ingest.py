@@ -19,7 +19,7 @@ import logging
 import warnings
 
 import numpy as np
-from .graph import LabeledGraph, _components, _csr_from_pairs
+from .graph import LabeledGraph, _components, _csr_from_pairs, _restrict
 from .walk import PubdegMode, WalkRecord
 
 log = logging.getLogger(__name__)
@@ -124,26 +124,18 @@ def load_edge_list(path) -> LabeledGraph:
     densely renumbered, with the original ids in ``graph.orig_ids``.
     """
     src, dst = _parsed(path, _numpy_edges, _line_edges)
-    # dense id space, then canonical undirected dedup; recent NumPy runs a
-    # plain np.unique (no return_*) through a hash table, many times slower
-    # than a sort on these int64 keys
+    # dense id space; _csr_from_pairs drops the repeated edges
     ids, dense = np.unique(np.concatenate([src, dst]), return_inverse=True)
-    n = ids.size
     src, dst = dense[: src.size], dense[src.size :]
-    key = np.sort(np.minimum(src, dst) * n + np.maximum(src, dst))
-    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
-    indptr, indices = _csr_from_pairs(key // n, key % n, n)
+    indptr, indices = _csr_from_pairs(np.minimum(src, dst), np.maximum(src, dst), ids.size)
 
-    n_comp, comp = _components(indptr, indices, n)
+    n_comp, comp = _components(indptr, indices, ids.size)
     if n_comp > 1:
-        # keep the largest component (ties: smallest label); components are
-        # closed, so masking entries by destination keeps exactly its rows
-        keep = comp == np.argmax(np.bincount(comp))
-        remap = np.cumsum(keep) - 1
-        degrees = np.diff(indptr)[keep]
-        indices = remap[indices[keep[indices]]]
-        indptr = np.zeros(degrees.size + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
+        keep = comp == np.argmax(np.bincount(comp))  # ties: the smallest label
+        indptr, indices = _restrict(indptr, indices, keep)
+        # renumber by dropping the emptied rows
+        indptr = indptr[np.append(keep, True)]
+        indices = (np.cumsum(keep) - 1)[indices]
         ids = ids[keep]
     return LabeledGraph(indptr, indices, np.zeros(ids.size, dtype=bool), orig_ids=ids)
 

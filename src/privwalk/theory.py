@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphError, LabeledGraph, PublicClusterView, assign_labels_bernoulli, largest_public_cluster
+from .graph import GraphError, LabeledGraph, PublicClusterView, _check_rate, assign_labels_bernoulli, largest_public_cluster
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,7 @@ def expected_errors(g: LabeledGraph, p: float) -> ExpectedErrors:
     assume the public part of the graph keeps (almost) all public nodes
     in one cluster, which holds for well-connected graphs at moderate p.
     """
-    if not 0.0 <= p <= 1.0:
-        raise GraphError(f"privacy rate must lie in [0, 1], got {p}")
+    _check_rate(p)
     d = g.degrees.astype(np.int64)
     n = g.node_count
     sum_d = int(np.sum(d))
@@ -111,8 +110,7 @@ def public_count_moments(d: int, p: float) -> tuple[float, float]:
     """
     if d < 0:
         raise ValueError("degree must be non-negative")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"privacy rate must lie in [0, 1], got {p}")
+    _check_rate(p)
     q = 1.0 - p
     return q * d, q * d * (q * d + p)
 

@@ -185,7 +185,9 @@ def run_walk(
         Query accounting; a fresh ledger is created when omitted. Charges
         are added on top of whatever the ledger already holds.
     view
-        Precomputed largest-cluster view, to avoid recomputing it per walk.
+        The largest-cluster view of ``g``, to avoid recomputing it per
+        walk; computed when omitted. The exact modes read each sample's
+        public degree from it.
     count_visit_queries
         Hidden model only: when True, arriving at a sample charges one
         extra query even though the node was already queried as a label
@@ -204,12 +206,14 @@ def run_walk(
     model = AccessModel(model)
     pubdeg_mode = PubdegMode(pubdeg_mode)
     pubdeg_mode.check_model(model)
-    probes = _selections(g, seed_node, r, rng_seed, view)
-    return _record(g, int(seed_node), probes, pubdeg_mode, ledger, count_visit_queries)
+    if view is None:
+        view = largest_public_cluster(g)
+    probes = _selections(g, view, seed_node, r, rng_seed)
+    return _record(g, view, int(seed_node), probes, pubdeg_mode, ledger, count_visit_queries)
 
 
 def _selections(
-    g: LabeledGraph, seed_node: int, r: int, rng_seed, view: PublicClusterView | None
+    g: LabeledGraph, view: PublicClusterView, seed_node: int, r: int, rng_seed
 ) -> np.ndarray:
     """Check an ``r``-sample walk from ``seed_node``, then make its selections.
 
@@ -220,8 +224,6 @@ def _selections(
         raise ValueError("walk length must be at least 1")
     if not 0 <= seed_node < g.node_count:
         raise GraphError(f"seed node {seed_node} is outside 0..{g.node_count - 1}")
-    if view is None:
-        view = largest_public_cluster(g)
     if g.is_private[seed_node]:
         raise GraphError(f"seed node {seed_node} is private")
     if not view.member_flag[seed_node]:
@@ -234,12 +236,14 @@ def _selections(
 
 
 def _record(
-    g: LabeledGraph, seed_node: int, probes, pubdeg_mode: PubdegMode, ledger, count_visit_queries
+    g: LabeledGraph, view: PublicClusterView, seed_node: int, probes, pubdeg_mode: PubdegMode,
+    ledger, count_visit_queries,
 ) -> WalkRecord:
     """The walk record of ``pubdeg_mode`` derived from a walk's selections.
 
-    ``probes`` is what :func:`_selections` returned for ``seed_node``;
-    the queries go to ``ledger``, a fresh one when it is None.
+    ``probes`` is what :func:`_selections` returned for ``seed_node`` on
+    ``view``, the view of ``g``; the queries go to ``ledger``, a fresh
+    one when it is None.
     """
     if ledger is None:
         ledger = QueryLedger()
@@ -279,20 +283,18 @@ def _record(
         _charge(ledger, n, charged, np.cumsum(per_sample), np.arange(r), per_sample)
         return WalkRecord(nodes, degs, pub_out, pubdeg_mode, ledger, counters)
 
-    # the distinct nodes' neighbor lists, laid end to end
-    lens = g.degrees[distinct]
-    ends = np.cumsum(lens)
-    nbr_ids = g.indices[np.repeat(g.indptr[distinct] - ends + lens, lens) + np.arange(ends[-1])]
-    private_run = np.concatenate(([0], np.cumsum(g.is_private[nbr_ids])))
-    public = lens - (private_run[ends] - private_run[ends - lens])
-    pub_out = public[inv].astype(np.float64)
-
+    # samples are cluster members, so all their public neighbors are members
+    pub_out = view.public_degree[nodes].astype(np.float64)
     if pubdeg_mode is PubdegMode.EXACT_IDEAL:
         # every visit is one query; arrivals are never free here
         _charge(ledger, n, nodes, np.arange(1, r + 1), np.arange(r), np.ones(r, np.int64))
     else:
-        # a revisit charges the same ids as the node's first visit, so the
-        # distinct nodes in first-visit order carry every first charge
+        # each distinct node's probes are its neighbor list; a revisit
+        # charges the same ids as the first visit, so the distinct nodes
+        # in first-visit order carry every first charge
+        lens = g.degrees[distinct]
+        ends = np.cumsum(lens)
+        nbr_ids = g.indices[np.repeat(g.indptr[distinct] - ends + lens, lens) + np.arange(ends[-1])]
         charged = np.insert(nbr_ids, ends - lens, distinct) if visit else nbr_ids
         _charge(ledger, n, charged, np.cumsum(lens + visit), first, degs + visit)
     return WalkRecord(nodes, degs, pub_out, pubdeg_mode, ledger, counters)

@@ -25,6 +25,7 @@ from privwalk import (
     AccessModel,
     GraphError,
     PubdegMode,
+    PublicClusterView,
     QueryLedger,
     SelectionCounters,
     StuckWalkError,
@@ -159,6 +160,31 @@ def flood_fill_public_clusters(edges, is_private) -> list[set[int]]:
                     stack.append(w)
         clusters.append(comp)
     return clusters
+
+
+def reference_public_cluster(edges, is_private) -> PublicClusterView:
+    """``largest_public_cluster`` from the flood-fill clusters of a simple graph.
+
+    The largest cluster by size, ties going to the cluster with the
+    smallest id; in-cluster neighbor counts, zero elsewhere, as int64;
+    the census of cluster sizes with the largest size first.
+    """
+    clusters = flood_fill_public_clusters(edges, is_private)
+    if not clusters:
+        raise GraphError("graph has no public node")
+    best = min(clusters, key=lambda c: (-len(c), min(c)))
+    member_flag = np.zeros(len(is_private), dtype=bool)
+    member_flag[list(best)] = True
+    public_degree = np.zeros(len(is_private), dtype=np.int64)
+    for a, b in edges:
+        if a in best and b in best:
+            public_degree[a] += 1
+            public_degree[b] += 1
+    sizes = [len(c) for c in clusters]
+    census = tuple((s, sizes.count(s)) for s in sorted(set(sizes), reverse=True))
+    return PublicClusterView(
+        member_flag, len(best), public_degree, int(public_degree.sum()), census
+    )
 
 
 def reference_build_graph(edges, n: int, drop_duplicates: bool = False):

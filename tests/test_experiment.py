@@ -237,6 +237,9 @@ def test_cli_rejects_negative_label_seed(tmp_path, capsys, command):
          "--label-file excludes --p-grid and --label-seed"),
         (["theory", "--label-file", "{labels}", "--label-seed", "5"],
          "--label-file excludes --p-grid and --label-seed"),
+        (["labels", "--lenient"], "--lenient requires --label-file"),
+        (["walk", "--length", "5", "--lenient"], "--lenient requires --label-file"),
+        (["theory", "--lenient"], "--lenient requires --label-file"),
     ],
 )
 def test_cli_rejects_conflicting_label_flags(tmp_path, capsys, argv, message):
@@ -386,6 +389,42 @@ def test_worker_pool_matches_serial(tmp_path, medium_graph):
     query_census(pooled, graph=medium_graph)
     assert (tmp_path / "s" / "census.csv").read_bytes() == (
         tmp_path / "p" / "census.csv"
+    ).read_bytes()
+
+
+@pytest.mark.parametrize("cpus, size", [(2, 2), (None, 1)])
+def test_worker_pool_is_capped_at_the_cpu_count(tmp_path, medium_graph, monkeypatch, cpus, size):
+    from privwalk import experiment
+
+    sizes = []
+
+    class InlinePool:
+        """Stands in for the process pool: records its size, runs the tasks here."""
+
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(experiment, "_POOL_STATE", {})
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
+    grid = dict(p_grid=(0.2,), sample_sizes=(150,), trials=6)
+    run_experiment(_cfg(tmp_path, outdir=str(tmp_path / "s"), **grid), graph=medium_graph)
+    pooled = _cfg(tmp_path, outdir=str(tmp_path / "p"), workers=500, **grid)
+    run_experiment(pooled, graph=medium_graph)
+    query_census(pooled, graph=medium_graph)
+    assert sizes == [size, size]
+    assert (tmp_path / "s" / "nrmse.csv").read_bytes() == (
+        tmp_path / "p" / "nrmse.csv"
     ).read_bytes()
 
 

@@ -11,10 +11,13 @@ from graphgen import (
 from oracles import flood_fill_public_clusters
 
 from privwalk import (
+    ExperimentConfig,
     GraphError,
     assign_labels_bernoulli,
     build_graph,
+    expected_errors,
     largest_public_cluster,
+    public_count_moments,
 )
 
 
@@ -66,6 +69,24 @@ def test_bernoulli_extremes_are_exact():
     assert assign_labels_bernoulli(g, 1.0, 1).private_count == 40
     with pytest.raises(GraphError):
         assign_labels_bernoulli(g, 1.5, 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g: assign_labels_bernoulli(g, 1.5, 1), "privacy rate must lie in [0, 1], got 1.5"),
+        (lambda g: expected_errors(g, 1.5), "privacy rate must lie in [0, 1], got 1.5"),
+        (lambda g: public_count_moments(3, 1.5), "privacy rate must lie in [0, 1], got 1.5"),
+        (lambda g: ExperimentConfig(dataset="", p_grid=(0.5, 1.5)),
+         "p_grid values must lie in [0, 1], got 1.5"),
+    ],
+    ids=["assign_labels_bernoulli", "expected_errors", "public_count_moments", "p_grid"],
+)
+def test_privacy_rate_rule_is_shared(call, message):
+    g = build_graph(path_edges(3), [False] * 3)
+    with pytest.raises(GraphError) as exc:
+        call(g)
+    assert str(exc.value) == message
 
 
 def test_bernoulli_is_deterministic_and_shares_adjacency():

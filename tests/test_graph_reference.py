@@ -1,15 +1,27 @@
-"""The CSR builders against the per-edge and two-sort references, on random inputs."""
+"""The CSR builders and the public-cluster decomposition against their
+per-edge, two-sort and flood-fill references, on random inputs."""
 
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_build_graph, reference_edge_list
+from graphgen import random_connected_edges
+from oracles import reference_build_graph, reference_edge_list, reference_public_cluster
 
-from privwalk import GraphError, IngestError, build_graph, load_edge_list
+from privwalk import (
+    GraphError,
+    IngestError,
+    PublicClusterView,
+    assign_labels_bernoulli,
+    build_graph,
+    largest_public_cluster,
+    load_edge_list,
+)
 
 
 def _same_array(got, ref):
@@ -100,3 +112,32 @@ def test_load_edge_list_matches_two_sort_reference(pairs):
     _same_array(g.indptr, ref[0])
     _same_array(g.indices, ref[1])
     _same_array(g.orig_ids, ref[2])
+
+
+@st.composite
+def labeled_graphs(draw):
+    """A random connected simple graph and a Bernoulli labeling of it."""
+    n = draw(st.integers(2, 40))
+    extra = draw(st.integers(0, min(2 * n, (n - 1) * (n - 2) // 2)))
+    edges = random_connected_edges(n, extra, seed=draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.sampled_from((0.0, 0.3, 0.6, 0.9)))
+    g = assign_labels_bernoulli(build_graph(edges, [False] * n), p, draw(st.integers(0, 2**32 - 1)))
+    return edges, g
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(labeled_graphs())
+def test_largest_public_cluster_matches_flood_fill_reference(case):
+    edges, g = case
+    if g.is_private.all():
+        with pytest.raises(GraphError, match="no public node"):
+            largest_public_cluster(g)
+        return
+    view = largest_public_cluster(g)
+    ref = reference_public_cluster(edges, g.is_private.tolist())
+    for f in fields(PublicClusterView):
+        got, want = getattr(view, f.name), getattr(ref, f.name)
+        if isinstance(want, np.ndarray):
+            _same_array(got, want)
+        else:
+            assert type(got) is type(want) and got == want, f.name
