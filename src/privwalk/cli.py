@@ -83,6 +83,9 @@ def _cmd_labels(args) -> int:
 
 
 def _cmd_walk(args) -> int:
+    mode = PubdegMode(args.mode)
+    if args.count_visit_queries and mode is PubdegMode.EXACT_IDEAL:
+        raise ValueError("--count-visit-queries applies to the hidden model only")
     if args.fraction is not None:
         _check_fraction("--fraction", args.fraction)
     g = _load_labeled(args)
@@ -92,7 +95,6 @@ def _cmd_walk(args) -> int:
         seed_node = args.seed_node
     else:
         seed_node = pick_seed_node(view, args.seed_pick_seed)
-    mode = PubdegMode(args.mode)
     ledger = QueryLedger(memoize=args.memoize)
     record = run_walk(
         g,

@@ -228,11 +228,16 @@ def _restrict(indptr, indices, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _components(indptr: np.ndarray, indices: np.ndarray, n: int) -> tuple[int, np.ndarray]:
     """Connected components of a symmetric CSR: count and per-node label.
 
-    Labels number the components in order of their smallest node id, so
-    ``np.argmax`` of the label counts breaks size ties toward that node.
+    A symmetric CSR's strong components are its connected components, and
+    SciPy's strong path skips the transpose its undirected path builds;
+    int32 indices and float64 data are the dtypes it works in, so SciPy
+    copies nothing. Labels number the components in order of their
+    smallest node id, so ``np.argmax`` of the label counts breaks size
+    ties toward that node.
     """
-    adj = csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(n, n))
-    return connected_components(adj, directed=False)
+    data = np.ones(indices.size)
+    adj = csr_matrix((data, indices.astype(np.int32), indptr.astype(np.int32)), shape=(n, n))
+    return connected_components(adj, directed=True, connection="strong")
 
 
 def assign_labels_bernoulli(g: LabeledGraph, p: float, rng_seed) -> LabeledGraph:

@@ -198,6 +198,8 @@ def test_cli_rejects_bad_grids(tmp_path, capsys, grid):
          "--seed-pick-seed must be at least 0, got -1"),
         (["walk", "{edges}", "--length", "10", "--bernoulli", "0.2", "--label-seed", "-1"],
          "--label-seed must be at least 0, got -1"),
+        (["walk", "{edges}", "--length", "50", "--mode", "exact_ideal", "--count-visit-queries"],
+         "--count-visit-queries applies to the hidden model only"),
     ],
 )
 def test_cli_rejects_bad_walk_and_estimate_args(tmp_path, capsys, argv, message):

@@ -1,5 +1,6 @@
-"""The CSR builders and the public-cluster decomposition against their
-per-edge, two-sort and flood-fill references, on random inputs."""
+"""The CSR builders, the component labelling and the public-cluster
+decomposition against their per-edge, two-sort, SciPy-undirected and
+flood-fill references, on random inputs."""
 
 import tempfile
 from dataclasses import fields
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from graphgen import random_connected_edges
 from oracles import reference_build_graph, reference_edge_list, reference_public_cluster
@@ -22,6 +25,7 @@ from privwalk import (
     largest_public_cluster,
     load_edge_list,
 )
+from privwalk.graph import _components, _csr_from_pairs, _restrict
 
 
 def _same_array(got, ref):
@@ -112,6 +116,37 @@ def test_load_edge_list_matches_two_sort_reference(pairs):
     _same_array(g.indptr, ref[0])
     _same_array(g.indices, ref[1])
     _same_array(g.orig_ids, ref[2])
+
+
+@st.composite
+def symmetric_csrs(draw):
+    """A symmetric CSR over ``0..n-1`` as the callers of ``_components`` make
+    it: random edges, then rows emptied by a restriction; many nodes isolated."""
+    n = draw(st.integers(2, 40))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
+                          min_size=1, max_size=2 * n))
+    lo, hi = np.sort(np.array(pairs, dtype=np.int64), axis=1).T
+    indptr, indices = _csr_from_pairs(lo, hi, n)
+    if draw(st.booleans()):
+        keep = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        indptr, indices = _restrict(indptr, indices, keep)
+    return n, indptr, indices
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(symmetric_csrs())
+def test_components_match_scipy_undirected_numbering(case):
+    # largest_public_cluster and load_edge_list break size ties by this
+    # numbering: components in order of their smallest node
+    n, indptr, indices = case
+    adj = csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(n, n))
+    want_count, want = connected_components(adj, directed=False)
+    count, labels = _components(indptr, indices, n)
+    assert count == want_count
+    _same_array(labels, want)
+    first = np.unique(labels, return_index=True)[1]
+    assert np.all(np.diff(first) > 0)
 
 
 @st.composite
