@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .estimators import NoCollisionError, build_report, default_gap_threshold
+from .estimators import _M_FRACTION, NoCollisionError, build_report, default_gap_threshold
 from .experiment import (
     _check_at_least,
     _check_fraction,
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate size/degree/privacy from a sample file")
     p.add_argument("record")
     p.add_argument("-m", type=int, default=None, help="index-pair gap threshold")
-    p.add_argument("--m-fraction", type=float, default=0.025,
+    p.add_argument("--m-fraction", type=float, default=_M_FRACTION,
                    help="gap threshold as a fraction of r, in (0, 1]; clamped to 1..r-1")
     p.add_argument("--csv", help="also write the report as CSV")
     p.set_defaults(func=_cmd_estimate)

@@ -66,7 +66,10 @@ class EstimateReport:
     sample_count: int
 
 
-def default_gap_threshold(r: int, fraction: float = 0.025) -> int:
+_M_FRACTION = 0.025  # the default gap threshold, as a fraction of the walk length
+
+
+def default_gap_threshold(r: int, fraction: float = _M_FRACTION) -> int:
     """Index-pair gap: ``fraction`` of the walk length, within ``1..r-1``."""
     return max(1, min(r - 1, math.ceil(fraction * r)))
 

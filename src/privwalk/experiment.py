@@ -1,16 +1,17 @@
 """Monte-Carlo experiment driver: NRMSE sweeps and query censuses.
 
 A run sweeps a grid of privacy rates (or uses a fixed label file) and
-sample sizes. Each trial redraws labels, picks a fresh uniform seed on
-the largest public cluster, walks, estimates, and scores against the
-full-graph truths; NRMSE is sqrt(mean((estimate/truth - 1)^2)) over the
-trials that produced an estimate. Trials without a node collision are
-excluded and counted as failed.
+sample sizes. Each trial seed redraws labels, picks a fresh uniform seed
+on the largest public cluster and walks once, at the longest size. Each
+size estimates from its prefix of that walk and scores against the
+full-graph truths: NRMSE is sqrt(mean((estimate/truth - 1)^2)) over the
+trials that produced an estimate; a size without a node collision fails.
 
 Determinism: trial i derives every random stream from ``base_seed + i``
 through numpy ``SeedSequence.spawn`` (labels, seed pick, walk, in that
-order), so results do not depend on execution order or worker count and
-repeated runs write byte-identical CSVs.
+order). The walk reads its uniforms in order, so a prefix is the walk
+run at its size alone. Results do not depend on execution order or
+worker count, and repeated runs write byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .estimators import NoCollisionError, build_report, default_gap_threshold
+from .estimators import _M_FRACTION, NoCollisionError, build_report, default_gap_threshold
 from .graph import GraphError, LabeledGraph, _check_rate, assign_labels_bernoulli
 from .graph import largest_public_cluster
 from .ingest import _data_lines, load_edge_list, load_labels
@@ -37,7 +38,6 @@ from .walk import (
     _record,
     _selections,
     pick_seed_node,
-    run_walk,
 )
 
 ESTIMATOR_NAMES = ("nc_size", "proposed_size", "smooth_avg_degree", "proposed_avg_degree")
@@ -70,7 +70,7 @@ class ExperimentConfig:
     pubdeg_mode: PubdegMode = PubdegMode.APPROX_HIDDEN
     sample_fractions: tuple[float, ...] | None = (0.01,)
     sample_sizes: tuple[int, ...] | None = None  # overrides sample_fractions
-    m_fraction: float = 0.025
+    m_fraction: float = _M_FRACTION
     trials: int = 1000
     base_seed: int = 1
     outdir: str = "results"
@@ -215,11 +215,9 @@ def load_config(path) -> ExperimentConfig:
         raise ValueError(f"{path}: {e}") from None
 
 
-def _cells(cfg: ExperimentConfig, n: int) -> list[tuple[float | None, int]]:
-    """The run's (p, r) grid cells; p is None when the labels come from a file."""
-    sizes = cfg.sample_sizes or tuple(_walk_length(f, n) for f in cfg.sample_fractions)
-    p_cells: list[float | None] = [None] if cfg.labels == "file" else list(cfg.p_grid)
-    return [(p, r) for p in p_cells for r in sizes]
+def _sizes(cfg: ExperimentConfig, n: int) -> tuple[int, ...]:
+    """The run's sample sizes in config order, repeats kept."""
+    return cfg.sample_sizes or tuple(_walk_length(f, n) for f in cfg.sample_fractions)
 
 
 def _load_graph(cfg: ExperimentConfig) -> LabeledGraph:
@@ -239,19 +237,21 @@ def _pool_init(g, cfg, trial):  # pragma: no cover - exercised only with workers
 
 
 def _pool_trial(args):  # pragma: no cover - exercised only with workers > 1
-    p, r, trial_seed = args
-    return _POOL_STATE["trial"](_POOL_STATE["g"], _POOL_STATE["cfg"], p, r, trial_seed)
+    p, trial_seed = args
+    return _POOL_STATE["trial"](_POOL_STATE["g"], _POOL_STATE["cfg"], p, trial_seed)
 
 
-def _run_cells(g: LabeledGraph, cfg: ExperimentConfig, trial, cells) -> list[list]:
-    """Each cell's outcomes of ``trial(g, cfg, p, r, seed)``, in seed order.
+def _run_cells(g: LabeledGraph, cfg: ExperimentConfig, trial) -> list[tuple]:
+    """Each (p, r) cell with its outcomes in seed order; p is None for file labels.
 
-    With ``workers > 1`` one pool of at most ``os.cpu_count()`` processes
+    ``trial(g, cfg, p, seed)`` returns one outcome per sample size. With
+    ``workers > 1`` one pool of at most ``os.cpu_count()`` processes
     serves every trial of the run, so the graph is sent to each worker once.
     """
-    tasks = [(p, r, cfg.base_seed + t) for p, r in cells for t in range(cfg.trials)]
+    p_cells: list[float | None] = [None] if cfg.labels == "file" else list(cfg.p_grid)
+    tasks = [(p, cfg.base_seed + t) for p in p_cells for t in range(cfg.trials)]
     if cfg.workers <= 1:
-        outcomes = [trial(g, cfg, p, r, seed) for p, r, seed in tasks]
+        outcomes = [trial(g, cfg, p, seed) for p, seed in tasks]
     else:
         with ProcessPoolExecutor(
             max_workers=min(cfg.workers, os.cpu_count() or 1),
@@ -260,67 +260,68 @@ def _run_cells(g: LabeledGraph, cfg: ExperimentConfig, trial, cells) -> list[lis
             initargs=(g, cfg, trial),
         ) as pool:
             outcomes = list(pool.map(_pool_trial, tasks, chunksize=8))
-    return [outcomes[i * cfg.trials : (i + 1) * cfg.trials] for i in range(len(cells))]
+    t = cfg.trials
+    return [
+        (p, r, [o[j] for o in outcomes[i * t : (i + 1) * t]])
+        for i, p in enumerate(p_cells)
+        for j, r in enumerate(_sizes(cfg, g.node_count))
+    ]
 
 
 def _trial_context(g: LabeledGraph, p: float | None, trial_seed: int):
     """Labeled graph, cluster view, seed node and walk seed for one trial."""
     keys = np.random.SeedSequence(trial_seed).spawn(3)
-    if p is None:  # labels came from a file and stay fixed
-        gl = g
-    else:
-        gl = assign_labels_bernoulli(g, p, keys[0])
+    # labels from a file (p is None) stay fixed
+    gl = g if p is None else assign_labels_bernoulli(g, p, keys[0])
     view = largest_public_cluster(gl)
     return gl, view, pick_seed_node(view, keys[1]), keys[2]
 
 
-def _run_trial(g, cfg: ExperimentConfig, p: float | None, r: int, trial_seed: int):
-    """Returns (estimates or None, query_ratio or nan)."""
+def _run_trial(g, cfg: ExperimentConfig, p: float | None, trial_seed: int) -> list[tuple]:
+    """Each sample size's (estimates or None, query_ratio or nan)."""
+    sizes = _sizes(cfg, g.node_count)
     try:
         gl, view, seed_node, walk_seed = _trial_context(g, p, trial_seed)
-    except GraphError:
-        return None, float("nan")
-
-    if cfg.nrmse_target == "convergence":
-        # ConvergenceValues lists its targets in ESTIMATOR_NAMES order
-        return astuple(convergence_values(gl, view)), float("nan")
-
-    ledger = QueryLedger()
-    try:
-        record = run_walk(
-            gl,
-            cfg.model,
-            seed_node,
-            r,
-            cfg.pubdeg_mode,
-            walk_seed,
-            ledger,
-            view=view,
-            count_visit_queries=cfg.count_visit_queries,
-        )
-    except StuckWalkError:
-        return None, float("nan")
-    ratio = ledger.raw_queries / r
-    try:
-        rep = build_report(record, default_gap_threshold(r, cfg.m_fraction))
-    except NoCollisionError:
-        return None, ratio
-    return (rep.size_nc, rep.size_proposed, rep.avg_degree_smooth, rep.avg_degree_proposed), ratio
-
-
-def _census_trial(g, cfg: ExperimentConfig, p: float | None, r: int, trial_seed: int):
-    """Returns each census mode's (unique-queried fraction, raw queries), or
-    None when the trial has no walk; one walk feeds both modes' ledgers."""
-    try:
-        gl, view, seed_node, walk_seed = _trial_context(g, p, trial_seed)
-        probes = _selections(gl, view, seed_node, r, walk_seed)
+        if cfg.nrmse_target == "convergence":
+            # ConvergenceValues lists its targets in ESTIMATOR_NAMES order
+            return [(astuple(convergence_values(gl, view)), float("nan"))] * len(sizes)
+        probes = _selections(gl, view, seed_node, max(sizes), walk_seed)
     except (GraphError, StuckWalkError):
-        return None
+        return [(None, float("nan"))] * len(sizes)
+    # _select reads uniforms in order: the cut at the r-th public hit is the r-walk
+    hits = np.flatnonzero(~gl.is_private[probes])
+    mode = PubdegMode(cfg.pubdeg_mode)
     out = []
-    for mode in CENSUS_MODES:
-        ledger = QueryLedger(memoize=cfg.census_memoize)
-        _record(gl, view, seed_node, probes, mode, ledger, cfg.count_visit_queries)
-        out.append((len(ledger.unique_queried) / g.node_count, ledger.raw_queries))
+    for r in sizes:
+        ledger = QueryLedger()
+        record = _record(gl, view, seed_node, probes[: hits[r - 1] + 1], mode, ledger,
+                         cfg.count_visit_queries)
+        try:
+            rep = build_report(record, default_gap_threshold(r, cfg.m_fraction))
+            est = (rep.size_nc, rep.size_proposed, rep.avg_degree_smooth, rep.avg_degree_proposed)
+        except NoCollisionError:
+            est = None
+        out.append((est, ledger.raw_queries / r))
+    return out
+
+
+def _census_trial(g, cfg: ExperimentConfig, p: float | None, trial_seed: int) -> list:
+    """Each sample size's census modes' (unique-queried fraction, raw queries),
+    or None when the trial has no walk; one walk feeds every size and mode."""
+    sizes = _sizes(cfg, g.node_count)
+    try:
+        gl, view, seed_node, walk_seed = _trial_context(g, p, trial_seed)
+        probes = _selections(gl, view, seed_node, max(sizes), walk_seed)
+    except (GraphError, StuckWalkError):
+        return [None] * len(sizes)
+    hits = np.flatnonzero(~gl.is_private[probes])  # cut as in _run_trial
+    out = []
+    for r in sizes:
+        cut = probes[: hits[r - 1] + 1]
+        ledgers = [QueryLedger(memoize=cfg.census_memoize) for _ in CENSUS_MODES]
+        for mode, ledger in zip(CENSUS_MODES, ledgers):
+            _record(gl, view, seed_node, cut, mode, ledger, cfg.count_visit_queries)
+        out.append([(len(q.unique_queried) / g.node_count, q.raw_queries) for q in ledgers])
     return out
 
 
@@ -338,9 +339,8 @@ def run_experiment(cfg: ExperimentConfig, graph: LabeledGraph | None = None) -> 
         "smooth_avg_degree": g.avg_degree,
         "proposed_avg_degree": g.avg_degree,
     }
-    cells = _cells(cfg, n)
     rows: list[NrmseRow] = []
-    for (p, r), outcomes in zip(cells, _run_cells(g, cfg, _run_trial, cells)):
+    for p, r, outcomes in _run_cells(g, cfg, _run_trial):
         est = np.array([o[0] for o in outcomes if o[0] is not None], dtype=float)
         ratios = np.array([o[1] for o in outcomes], dtype=float)
         failed = sum(1 for o in outcomes if o[0] is None)
@@ -375,18 +375,17 @@ def _write_theory(path, g: LabeledGraph, p_grid, label_seed: int) -> int:
 def query_census(cfg: ExperimentConfig, graph: LabeledGraph | None = None) -> list[dict]:
     """Compare query footprints of the exact and counter-based hidden modes.
 
-    One walk per trial feeds both modes' ledgers: the neighbor selections
-    do not depend on the mode, so both see the same node sequence; what
-    differs is what each one queries. A trial whose walk cannot run fails
-    for both modes. Reports the unique-queried fraction of all nodes and
-    raw totals. Memoization is off by default so raw counts match the
-    per-sample cost conventions; enable ``census_memoize`` to model a
-    caching crawler.
+    One walk per trial seed feeds both modes' ledgers at every size: the
+    neighbor selections do not depend on the mode, so both see the same
+    node sequence; what differs is what each one queries. A trial whose
+    walk cannot run fails for both modes and every size. Reports the
+    unique-queried fraction of all nodes and raw totals. Memoization is
+    off by default so raw counts match the per-sample cost conventions;
+    enable ``census_memoize`` to model a caching crawler.
     """
     g = graph if graph is not None else _load_graph(cfg)
-    cells = _cells(cfg, g.node_count)
     rows: list[dict] = []
-    for (p, r), outcomes in zip(cells, _run_cells(g, cfg, _census_trial, cells)):
+    for p, r, outcomes in _run_cells(g, cfg, _census_trial):
         walked = [o for o in outcomes if o is not None]
         p_label = g.private_fraction if p is None else float(p)
         for j, mode in enumerate(CENSUS_MODES):

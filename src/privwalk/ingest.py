@@ -47,14 +47,11 @@ def _data_lines(path):
             yield lineno, s
 
 
-def _beyond_int64(path, columns) -> IngestError:
-    """The error for the first data line whose ``columns(parts)`` integers
-    lie outside int64; the loaders call this only after NumPy overflowed."""
-    for lineno, s in _data_lines(path):
-        for token in columns(s.split()):
-            if not -(2**63) <= int(token) < 2**63:
-                return IngestError(f"{path}: line {lineno}: {token} is outside the int64 range")
-    return IngestError(f"{path}: an integer is outside the int64 range")
+def _check_int64(path, lineno: int, tokens, values) -> None:
+    """Name the line and token of the first of ``values`` outside int64."""
+    for token, x in zip(tokens, values):
+        if not -(2**63) <= x < 2**63:
+            raise IngestError(f"{path}: line {lineno}: {token} is outside the int64 range")
 
 
 def _parsed(path, numpy_parse, line_parse):
@@ -94,20 +91,12 @@ def _line_edges(path) -> tuple[np.ndarray, np.ndarray]:
             ) from None
         if u == v:
             continue  # self-loop
+        _check_int64(path, lineno, parts, (u, v))
         srcs.append(u)
         dsts.append(v)
     if not srcs:
         raise IngestError(f"{path}: no edges found")
-
-    try:
-        src = np.asarray(srcs, dtype=np.int64)
-        dst = np.asarray(dsts, dtype=np.int64)
-    except OverflowError:
-        # self-loop lines were dropped above, so they cannot have overflowed
-        raise _beyond_int64(
-            path, lambda parts: () if int(parts[0]) == int(parts[1]) else parts[:2]
-        ) from None
-    return src, dst
+    return np.asarray(srcs, dtype=np.int64), np.asarray(dsts, dtype=np.int64)
 
 
 def load_edge_list(path) -> LabeledGraph:
@@ -255,17 +244,14 @@ def _line_samples(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             if ds == 0:
                 raise IngestError(f"{path}: line {lineno}: public degree {ds} is not positive")
             raise IngestError(f"{path}: line {lineno}: non-finite public degree {ds}")
+        _check_int64(path, lineno, parts, (v, d))
         nodes.append(v)
         degrees.append(d)
         pubdegs.append(ds)
     if not nodes:
         raise IngestError(f"{path}: no samples found")
-    try:
-        node_arr = np.asarray(nodes, dtype=np.int64)
-        degree_arr = np.asarray(degrees, dtype=np.int64)
-    except OverflowError:
-        raise _beyond_int64(path, lambda parts: parts[-3:-1]) from None
-    return node_arr, degree_arr, np.asarray(pubdegs, dtype=np.float64)
+    return (np.asarray(nodes, dtype=np.int64), np.asarray(degrees, dtype=np.int64),
+            np.asarray(pubdegs, dtype=np.float64))
 
 
 def load_sample_records(path) -> WalkRecord:

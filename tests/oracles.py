@@ -8,22 +8,26 @@ through the access facade below. Slow but obviously correct. The two graph
 builders take the plain routes: a per-edge ``set`` loop, and an edge-list
 pipeline that sorts its CSR again after keeping the largest component.
 The collision count loops over nodes with one small search per node.
-The query census walks each trial once per hidden mode, with nested
-loops over the grid and the trials.
+The NRMSE sweep walks each (p, r, seed) cell on its own through
+``run_walk``, and the query census walks each trial once per hidden
+mode, with nested loops over the grid and the trials.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from privwalk import (
+    ESTIMATOR_NAMES,
     AccessModel,
     GraphError,
+    NoCollisionError,
+    NrmseRow,
     PubdegMode,
     PublicClusterView,
     QueryLedger,
@@ -31,6 +35,9 @@ from privwalk import (
     StuckWalkError,
     WalkRecord,
     assign_labels_bernoulli,
+    build_report,
+    convergence_values,
+    default_gap_threshold,
     largest_public_cluster,
     run_walk,
 )
@@ -509,6 +516,85 @@ def reference_walk(
     )
 
 
+def _grid(cfg, n: int):
+    """The run's label rates (None for file labels) and sample sizes."""
+    if cfg.sample_sizes is not None:
+        sizes = cfg.sample_sizes
+    else:
+        sizes = tuple(max(2, int(round(f * n))) for f in cfg.sample_fractions)
+    return ([None] if cfg.labels == "file" else list(cfg.p_grid)), sizes
+
+
+def reference_run_experiment(cfg, graph) -> list[NrmseRow]:
+    """The NRMSE sweep with one ``run_walk`` per (p, r, seed) cell.
+
+    Runs serially whatever ``cfg.workers`` says and writes ``nrmse.csv``
+    in ``cfg.outdir``. Trial ``i`` spawns its labels, seed pick and walk
+    keys from ``base_seed + i``, as the experiment driver documents.
+    """
+    g = graph
+    n = g.node_count
+    truths = (float(n), float(n), g.avg_degree, g.avg_degree)
+    p_cells, sizes = _grid(cfg, n)
+    nan = float("nan")
+    rows: list[NrmseRow] = []
+    for p in p_cells:
+        for r in sizes:
+            estimates, ratios = [], []
+            for t in range(cfg.trials):
+                keys = np.random.SeedSequence(cfg.base_seed + t).spawn(3)
+                try:
+                    gl = g if p is None else assign_labels_bernoulli(g, p, keys[0])
+                    view = largest_public_cluster(gl)
+                    seed_node = pick_seed_node(view, keys[1])
+                except GraphError:
+                    ratios.append(nan)
+                    continue
+                if cfg.nrmse_target == "convergence":
+                    estimates.append(astuple(convergence_values(gl, view)))
+                    ratios.append(nan)
+                    continue
+                ledger = QueryLedger()
+                try:
+                    rec = run_walk(
+                        gl,
+                        cfg.model,
+                        seed_node,
+                        r,
+                        cfg.pubdeg_mode,
+                        keys[2],
+                        ledger,
+                        view=view,
+                        count_visit_queries=cfg.count_visit_queries,
+                    )
+                except StuckWalkError:
+                    ratios.append(nan)
+                    continue
+                ratios.append(ledger.raw_queries / r)
+                try:
+                    rep = build_report(rec, default_gap_threshold(r, cfg.m_fraction))
+                except NoCollisionError:
+                    continue
+                estimates.append(
+                    (rep.size_nc, rep.size_proposed, rep.avg_degree_smooth, rep.avg_degree_proposed)
+                )
+            est = np.array(estimates, dtype=float)
+            ratio = np.array(ratios, dtype=float)
+            mean_ratio = nan if np.all(np.isnan(ratio)) else float(np.nanmean(ratio))
+            failed = cfg.trials - len(estimates)
+            p_label = g.private_fraction if p is None else float(p)
+            for j, name in enumerate(ESTIMATOR_NAMES):
+                nrmse = nan
+                if estimates:
+                    nrmse = float(np.sqrt(np.mean((est[:, j] / truths[j] - 1.0) ** 2)))
+                rows.append(NrmseRow(p_label, r, name, nrmse, failed, mean_ratio, cfg.trials))
+
+    os.makedirs(cfg.outdir, exist_ok=True)
+    header = [f.name for f in fields(NrmseRow)]
+    _write_csv(os.path.join(cfg.outdir, "nrmse.csv"), header, [astuple(row) for row in rows])
+    return rows
+
+
 def reference_query_census(cfg, graph) -> list[dict]:
     """The query census with one walk per trial and hidden mode.
 
@@ -518,11 +604,7 @@ def reference_query_census(cfg, graph) -> list[dict]:
     """
     g = graph
     n = g.node_count
-    if cfg.sample_sizes is not None:
-        sizes = cfg.sample_sizes
-    else:
-        sizes = tuple(max(2, int(round(f * n))) for f in cfg.sample_fractions)
-    p_cells = [None] if cfg.labels == "file" else list(cfg.p_grid)
+    p_cells, sizes = _grid(cfg, n)
     modes = (PubdegMode.EXACT_HIDDEN, PubdegMode.APPROX_HIDDEN)
 
     rows: list[dict] = []

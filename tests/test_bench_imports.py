@@ -60,10 +60,11 @@ def test_benchmark_replay_matches_the_driver(monkeypatch):
 
     estimated = 0
     for mode in privwalk.PubdegMode:
-        cfg = privwalk.ExperimentConfig(dataset="", model=mode.access_model, pubdeg_mode=mode)
+        cfg = privwalk.ExperimentConfig(dataset="", model=mode.access_model, pubdeg_mode=mode,
+                                        sample_sizes=(40,))
         for p in (0.1, 0.5, 0.9):
             for seed in range(4):
-                want, _ = _run_trial(g, cfg, p, 40, seed)
+                [(want, _)] = _run_trial(g, cfg, p, seed)
                 out = replay(p, seed, 40, (mode,), cfg.model, cfg.m_fraction)
                 got = None
                 if out["estimate"] is not None:
@@ -77,7 +78,7 @@ def test_benchmark_replay_matches_the_driver(monkeypatch):
     walked = 0
     for p in (0.2, 0.9):
         for seed in range(4):
-            want = _census_trial(g, census, p, g.node_count, seed)
+            [want] = _census_trial(g, census, p, seed)
             out = replay(p, seed, g.node_count, CENSUS_MODES, privwalk.AccessModel.HIDDEN, None)
             got = None if out["failed"] else [
                 (len(ledger.unique_queried) / g.node_count, ledger.raw_queries)

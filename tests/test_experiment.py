@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from graphgen import random_connected_edges, write_edge_file
-from oracles import reference_query_census
+from oracles import reference_query_census, reference_run_experiment
 
 from privwalk import (
     AccessModel,
@@ -291,13 +291,13 @@ def test_cli_theory_matches_experiment_theory(tmp_path, medium_graph, labels):
 
 def test_cli_and_experiment_share_the_walk_length_rule(tmp_path, capsys):
     from privwalk.cli import main
-    from privwalk.experiment import _cells
+    from privwalk.experiment import _sizes
 
     edges = tmp_path / "edges.txt"
     write_edge_file(edges, random_connected_edges(10, 20, seed=3))
     # 0.38 * 10 rounds up to 4; 0.05 * 10 rounds to 0 and is raised to 2
     cfg = ExperimentConfig(dataset=str(edges), sample_fractions=(0.38, 0.05))
-    assert _cells(cfg, 10) == [(0.0, 4), (0.0, 2)]
+    assert _sizes(cfg, 10) == (4, 2)
     for fraction, samples in (("0.38", 4), ("0.05", 2)):
         assert main(["walk", str(edges), "--fraction", fraction]) == 0
         assert f"samples {samples}\n" in capsys.readouterr().out
@@ -497,6 +497,63 @@ def test_census_walks_once_per_trial(tmp_path, medium_graph, monkeypatch):
     rows = query_census(_cfg(tmp_path, p_grid=(0.3,), trials=5), graph=medium_graph)
     assert [row["trials"] for row in rows] == [5, 5]
     assert len(calls) == 5
+
+
+@pytest.mark.parametrize(
+    "graph, kw",
+    [
+        ("medium", dict(p_grid=(0.2, 0.3), sample_sizes=(300, 40, 150, 40))),
+        ("medium", dict(p_grid=(0.3,), sample_sizes=(150, 60, 150), nrmse_target="convergence")),
+        ("medium", dict(p_grid=(0.3,), sample_sizes=(200, 80), count_visit_queries=True,
+                        pubdeg_mode=PubdegMode.EXACT_HIDDEN)),
+        ("medium", dict(p_grid=(0.3,), sample_sizes=(80, 200), model=AccessModel.IDEAL,
+                        pubdeg_mode=PubdegMode.EXACT_IDEAL)),
+        ("labeled", dict(labels="file", label_file="unused", sample_sizes=(300, 100))),
+        ("medium", dict(p_grid=(1.0,), sample_sizes=(50, 20))),
+        ("lonely", dict(labels="file", label_file="unused", sample_sizes=(5, 3))),
+        ("star", dict(p_grid=(0.5,), sample_sizes=(20, 2), trials=16)),
+        ("medium", dict(p_grid=(0.2, 0.3), sample_sizes=(150, 60), workers=2)),
+    ],
+    ids=["unsorted_repeated", "convergence", "exact_hidden_visits", "exact_ideal", "file_labels",
+         "all_private", "stuck", "mixed", "workers_2"],
+)
+def test_run_experiment_matches_per_cell_reference(tmp_path, medium_graph, graph, kw):
+    g = _census_graph(graph, medium_graph)
+    kw = {"trials": 6, **kw}
+    got = run_experiment(_cfg(tmp_path, outdir=str(tmp_path / "new"), **kw), graph=g)
+    want = reference_run_experiment(_cfg(tmp_path, outdir=str(tmp_path / "ref"), **kw), g)
+    assert repr(got) == repr(want)  # repr compares floats bitwise and NaN as equal
+    assert (tmp_path / "new" / "nrmse.csv").read_bytes() == (
+        tmp_path / "ref" / "nrmse.csv"
+    ).read_bytes()
+    failed = {row.sample_size: row.failed_trials for row in got}
+    if graph == "lonely" or kw.get("p_grid") == (1.0,):
+        assert set(failed.values()) == {kw["trials"]}
+    if graph == "star":  # stuck trials fail at both sizes, collision-free ones at r = 2 only
+        assert 0 < failed[20] < failed[2] == kw["trials"]
+
+
+def test_drivers_walk_and_decompose_once_per_trial_seed(tmp_path, medium_graph, monkeypatch):
+    from privwalk import experiment, walk
+
+    calls = {}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(walk, "_select", counting("select", walk._select))
+    monkeypatch.setattr(
+        experiment, "largest_public_cluster", counting("cluster", experiment.largest_public_cluster)
+    )
+    cfg = _cfg(tmp_path, p_grid=(0.2, 0.3), sample_sizes=(150, 40, 300), trials=3)
+    for driver in (run_experiment, query_census):
+        calls.update(select=0, cluster=0)
+        assert driver(cfg, graph=medium_graph)
+        assert calls == {"select": 6, "cluster": 6}, driver.__name__
 
 
 def test_file_labels_pin_the_labeling(tmp_path, medium_graph):

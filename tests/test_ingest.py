@@ -95,9 +95,14 @@ def test_ids_beyond_int64_are_rejected_with_the_line(tmp_path, capsys, big):
     samples = _write(tmp_path / "s.txt", f"1 5 3 2.0\n2 {big} 4 1.0\n3 5 3 2.0\n")
     degree = big.lstrip("-")  # a negative degree is rejected as negative first
     degrees = _write(tmp_path / "d.txt", f"5 3 2.0\n5 {degree} 1.0\n")
+    # the first bad line is named, though a later line is malformed
+    early_edges = _write(tmp_path / "e2.txt", f"1 2\n{big} 3\n2 3\n4 x\n")
+    early_degree = _write(tmp_path / "d2.txt", f"1 2 1\n5 {degree} 1\n3 4 5\n")
     for load, f, line, token in ((load_edge_list, edges, 5, big),
                                  (load_sample_records, samples, 2, big),
-                                 (load_sample_records, degrees, 2, degree)):
+                                 (load_sample_records, degrees, 2, degree),
+                                 (load_edge_list, early_edges, 2, big),
+                                 (load_sample_records, early_degree, 2, degree)):
         with pytest.raises(IngestError, match=f"^{re.escape(str(f))}: line {line}: {token} is"):
             load(f)
     for argv, f, line in ((["ingest"], edges, 5), (["estimate"], samples, 2)):

@@ -10,11 +10,13 @@ from oracles import ReferenceLedger, reference_walk
 from privwalk import (
     GraphError,
     PubdegMode,
+    QueryLedger,
     assign_labels_bernoulli,
     build_graph,
     largest_public_cluster,
     run_walk,
 )
+from privwalk.walk import _record, _selections
 
 
 @st.composite
@@ -75,3 +77,31 @@ def test_walk_matches_facade_reference(case):
     assert got.ledger.raw_queries == ref.ledger.raw_queries
     assert got.ledger.per_sample_queries == ref.ledger.per_sample_queries
     assert got.ledger.unique_queried == ref.ledger.unique_queried
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(walk_cases(), st.data())
+def test_a_walk_prefix_is_the_shorter_walk(case, data):
+    """The record of an r-sample walk cut from the selections of a longer
+    walk equals the r-sample walk, so one walk can serve every size."""
+    g, view, seed_node, mode = case["g"], case["view"], case["seed_node"], case["mode"]
+    longest = case["r"] + 1  # a draw above 16384 reads a second uniform block
+    r = data.draw(st.integers(1, longest - 1))
+    probes = _selections(g, view, seed_node, longest, case["rng_seed"])
+    hits = np.flatnonzero(~g.is_private[probes])
+    ledgers = [QueryLedger(memoize=case["memoize"]) for _ in range(2)]
+    for ledger in ledgers:
+        ledger.unique_queried.update(case["prior"])
+    got = _record(g, view, seed_node, probes[: hits[r - 1] + 1], mode, ledgers[0],
+                  case["count_visit_queries"])
+    want = run_walk(g, mode.access_model, seed_node, r, mode, case["rng_seed"], ledgers[1],
+                    view=view, count_visit_queries=case["count_visit_queries"])
+
+    assert np.array_equal(got.nodes, want.nodes)
+    assert np.array_equal(got.public_degrees.view(np.uint64), want.public_degrees.view(np.uint64))
+    assert list(got.counters.successes.items()) == list(want.counters.successes.items())
+    assert list(got.counters.attempts.items()) == list(want.counters.attempts.items())
+    assert got.ledger.raw_queries == want.ledger.raw_queries
+    assert got.ledger.per_sample_queries == want.ledger.per_sample_queries
+    assert got.ledger.unique_queried == want.ledger.unique_queried
