@@ -83,6 +83,8 @@ def _cmd_labels(args) -> int:
 
 
 def _cmd_walk(args) -> int:
+    if args.seed_node is not None and args.seed_pick_seed is not None:
+        raise ValueError("--seed-node excludes --seed-pick-seed")
     mode = PubdegMode(args.mode)
     if args.count_visit_queries and mode is PubdegMode.EXACT_IDEAL:
         raise ValueError("--count-visit-queries applies to the hidden model only")
@@ -94,7 +96,7 @@ def _cmd_walk(args) -> int:
     if args.seed_node is not None:
         seed_node = args.seed_node
     else:
-        seed_node = pick_seed_node(view, args.seed_pick_seed)
+        seed_node = pick_seed_node(view, args.seed_pick_seed or 0)
     ledger = QueryLedger(memoize=args.memoize)
     record = run_walk(
         g,
@@ -119,9 +121,12 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    _check_fraction("--m-fraction", args.m_fraction)
+    if args.m is not None and args.m_fraction is not None:
+        raise ValueError("-m excludes --m-fraction")
+    fraction = _M_FRACTION if args.m_fraction is None else args.m_fraction
+    _check_fraction("--m-fraction", fraction)
     record = load_sample_records(args.record)
-    m = args.m if args.m is not None else default_gap_threshold(record.r, args.m_fraction)
+    m = args.m if args.m is not None else default_gap_threshold(record.r, fraction)
     rep = build_report(record, m)
     fields = [
         ("samples", rep.sample_count),
@@ -210,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--length", type=int, help="number of samples")
     group.add_argument("--fraction", type=float, help="samples as a fraction of n, in (0, 1]")
     p.add_argument("--seed-node", type=int, help="fixed public seed node (dense id)")
-    p.add_argument("--seed-pick-seed", type=int, default=0, help="seed for uniform seed choice")
+    p.add_argument("--seed-pick-seed", type=int, help="seed for uniform seed choice (default 0)")
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--count-visit-queries", action="store_true",
                    help="charge sample visits separately from label probes")
@@ -220,9 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate size/degree/privacy from a sample file")
     p.add_argument("record")
-    p.add_argument("-m", type=int, default=None, help="index-pair gap threshold")
-    p.add_argument("--m-fraction", type=float, default=_M_FRACTION,
-                   help="gap threshold as a fraction of r, in (0, 1]; clamped to 1..r-1")
+    p.add_argument("-m", type=int, help="index-pair gap threshold")
+    p.add_argument("--m-fraction", type=float, help="gap threshold as a fraction of r, in "
+                   f"(0, 1], default {_M_FRACTION}; clamped to 1..r-1; excludes -m")
     p.add_argument("--csv", help="also write the report as CSV")
     p.set_defaults(func=_cmd_estimate)
 

@@ -288,20 +288,17 @@ def _run_trial(g, cfg: ExperimentConfig, p: float | None, trial_seed: int) -> li
         probes = _selections(gl, view, seed_node, max(sizes), walk_seed)
     except (GraphError, StuckWalkError):
         return [(None, float("nan"))] * len(sizes)
-    # _select reads uniforms in order: the cut at the r-th public hit is the r-walk
-    hits = np.flatnonzero(~gl.is_private[probes])
-    mode = PubdegMode(cfg.pubdeg_mode)
+    modes = (PubdegMode(cfg.pubdeg_mode),)
     out = []
     for r in sizes:
-        ledger = QueryLedger()
-        record = _record(gl, view, seed_node, probes[: hits[r - 1] + 1], mode, ledger,
-                         cfg.count_visit_queries)
+        (record,) = _record(gl, view, seed_node, probes, r, modes, (QueryLedger(),),
+                            cfg.count_visit_queries)
         try:
             rep = build_report(record, default_gap_threshold(r, cfg.m_fraction))
             est = (rep.size_nc, rep.size_proposed, rep.avg_degree_smooth, rep.avg_degree_proposed)
         except NoCollisionError:
             est = None
-        out.append((est, ledger.raw_queries / r))
+        out.append((est, record.ledger.raw_queries / r))
     return out
 
 
@@ -314,13 +311,10 @@ def _census_trial(g, cfg: ExperimentConfig, p: float | None, trial_seed: int) ->
         probes = _selections(gl, view, seed_node, max(sizes), walk_seed)
     except (GraphError, StuckWalkError):
         return [None] * len(sizes)
-    hits = np.flatnonzero(~gl.is_private[probes])  # cut as in _run_trial
     out = []
     for r in sizes:
-        cut = probes[: hits[r - 1] + 1]
         ledgers = [QueryLedger(memoize=cfg.census_memoize) for _ in CENSUS_MODES]
-        for mode, ledger in zip(CENSUS_MODES, ledgers):
-            _record(gl, view, seed_node, cut, mode, ledger, cfg.count_visit_queries)
+        _record(gl, view, seed_node, probes, r, CENSUS_MODES, ledgers, cfg.count_visit_queries)
         out.append([(len(q.unique_queried) / g.node_count, q.raw_queries) for q in ledgers])
     return out
 

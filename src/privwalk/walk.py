@@ -13,13 +13,13 @@ approximate mode the public degree of a sampled node is estimated as
 exhaustively.
 
 The walk itself is one tight loop over the CSR arrays that records
-every neighbor selection and nothing else. The node sequence, the tries
-per sample, the degrees and public degrees, the selection counters and
-the caller's query ledger are all derived from that record afterwards
-with NumPy. They take the same values, under the same query conventions,
-as charging each query as it happens; ``tests/oracles.py`` holds that
-query-by-query reference, which defines the conventions and against
-which the tests hold this walk.
+every neighbor selection and nothing else. One NumPy pass over that
+record derives the node sequence, the tries per sample, the degrees and
+the selection counters once, then each requested mode's public degrees
+and query ledger. They take the same values, under the same query
+conventions, as charging each query as it happens; ``tests/oracles.py``
+holds that query-by-query reference, which defines the conventions and
+against which the tests hold this walk.
 """
 
 from __future__ import annotations
@@ -209,7 +209,9 @@ def run_walk(
     if view is None:
         view = largest_public_cluster(g)
     probes = _selections(g, view, seed_node, r, rng_seed)
-    return _record(g, view, int(seed_node), probes, pubdeg_mode, ledger, count_visit_queries)
+    ledger = QueryLedger() if ledger is None else ledger
+    return _record(g, view, int(seed_node), probes, r, (pubdeg_mode,), (ledger,),
+                   count_visit_queries)[0]
 
 
 def _selections(
@@ -235,69 +237,67 @@ def _selections(
     return _select(g, int(seed_node), r, rng_seed)
 
 
-def _record(
-    g: LabeledGraph, view: PublicClusterView, seed_node: int, probes, pubdeg_mode: PubdegMode,
-    ledger, count_visit_queries,
-) -> WalkRecord:
-    """The walk record of ``pubdeg_mode`` derived from a walk's selections.
+def _record(g: LabeledGraph, view: PublicClusterView, seed_node: int, probes, r: int, modes,
+            ledgers, count_visit_queries) -> list[WalkRecord]:
+    """The record of each of ``modes`` for the first ``r`` samples of a walk.
 
     ``probes`` is what :func:`_selections` returned for ``seed_node`` on
-    ``view``, the view of ``g``; the queries go to ``ledger``, a fresh
-    one when it is None.
+    ``view``, the view of ``g``, for at least ``r`` samples; mode ``i``
+    charges ``ledgers[i]``.
     """
-    if ledger is None:
-        ledger = QueryLedger()
     # each sample's selections end at its first public hit, which is the
-    # next sample; the final sample's trailing hit is selected but unused
-    hits = np.flatnonzero(~g.is_private[probes])
-    r = hits.size
+    # next sample; the r-th sample's trailing hit is selected but unused.
+    # _select reads uniforms in order, so this cut is the r-sample walk
+    hits = np.flatnonzero(~g.is_private[probes])[:r]
+    probes = probes[: hits[-1] + 1]
     nodes = np.empty(r, dtype=np.int64)
     nodes[0] = seed_node
     nodes[1:] = probes[hits[:-1]]
     tries = np.diff(hits, prepend=-1)
     degs = g.degrees[nodes]
 
-    # distinct nodes renumbered in first-visit order; ``inv`` maps each
-    # sample to its node's number
-    uniq, first, inv, visits = np.unique(
-        nodes, return_index=True, return_inverse=True, return_counts=True
-    )
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    distinct, first, visits, inv = uniq[order], first[order], visits[order], rank[inv]
+    # ids are dense: scattered in reverse, each node keeps its first sample
+    n = g.node_count
+    at = np.empty(n, dtype=np.int64)
+    at[nodes[::-1]] = np.arange(r - 1, -1, -1)
+    owner = at[nodes]  # the first sample of each sample's node
+    first = np.flatnonzero(owner == np.arange(r))  # first visits, in order
+    distinct = nodes[first]
     # a: one public hit per visit; b: every selection made from the node
-    attempts = np.bincount(inv, weights=tries).astype(np.int64)
+    visits = np.bincount(owner)
+    attempts = np.bincount(owner, weights=tries).astype(np.int64)
     ids = distinct.tolist()
     counters = SelectionCounters(
-        dict(zip(ids, visits.tolist())), dict(zip(ids, attempts.tolist()))
+        dict(zip(ids, visits[first].tolist())), dict(zip(ids, attempts[first].tolist()))
     )
 
     visit = int(count_visit_queries)
-    n = g.node_count
-    if pubdeg_mode is PubdegMode.APPROX_HIDDEN:
-        pub_out = degs * (visits / attempts)[inv]
-        # sample k charges its arrival, if counted, then its own probes
-        charged = np.insert(probes, hits - tries + 1, nodes) if visit else probes
-        per_sample = tries + visit
-        _charge(ledger, n, charged, np.cumsum(per_sample), np.arange(r), per_sample)
-        return WalkRecord(nodes, degs, pub_out, pubdeg_mode, ledger, counters)
-
-    # samples are cluster members, so all their public neighbors are members
-    pub_out = view.public_degree[nodes].astype(np.float64)
-    if pubdeg_mode is PubdegMode.EXACT_IDEAL:
-        # every visit is one query; arrivals are never free here
-        _charge(ledger, n, nodes, np.arange(1, r + 1), np.arange(r), np.ones(r, np.int64))
-    else:
-        # each distinct node's probes are its neighbor list; a revisit
-        # charges the same ids as the first visit, so the distinct nodes
-        # in first-visit order carry every first charge
-        lens = g.degrees[distinct]
-        ends = np.cumsum(lens)
-        nbr_ids = g.indices[np.repeat(g.indptr[distinct] - ends + lens, lens) + np.arange(ends[-1])]
-        charged = np.insert(nbr_ids, ends - lens, distinct) if visit else nbr_ids
-        _charge(ledger, n, charged, np.cumsum(lens + visit), first, degs + visit)
-    return WalkRecord(nodes, degs, pub_out, pubdeg_mode, ledger, counters)
+    records = []
+    for mode, ledger in zip(modes, ledgers):
+        if mode is PubdegMode.APPROX_HIDDEN:
+            pub_out = degs * (visits[owner] / attempts[owner])
+            # sample k charges its arrival, if counted, then its own probes
+            charged = np.insert(probes, hits - tries + 1, nodes) if visit else probes
+            per_sample = tries + visit
+            _charge(ledger, n, charged, np.cumsum(per_sample), np.arange(r), per_sample)
+        else:
+            # samples are cluster members, so all their public neighbors are members
+            pub_out = view.public_degree[nodes].astype(np.float64)
+        if mode is PubdegMode.EXACT_IDEAL:
+            # every visit is one query; arrivals are never free here
+            _charge(ledger, n, nodes, np.arange(1, r + 1), np.arange(r), np.ones(r, np.int64))
+        elif mode is PubdegMode.EXACT_HIDDEN:
+            # each distinct node's probes are its neighbor list; a revisit
+            # charges the same ids as the first visit, so the distinct nodes
+            # in first-visit order carry every first charge
+            lens = g.degrees[distinct]
+            ends = np.cumsum(lens)
+            starts = np.repeat(g.indptr[distinct] - ends + lens, lens)
+            nbr_ids = g.indices[starts + np.arange(ends[-1])]
+            charged = np.insert(nbr_ids, ends - lens, distinct) if visit else nbr_ids
+            _charge(ledger, n, charged, np.cumsum(lens + visit), first, degs + visit)
+        records.append(WalkRecord(nodes, degs, pub_out, mode, ledger, counters))
+    return records
 
 
 def _select(g: LabeledGraph, seed_node: int, r: int, rng_seed) -> np.ndarray:

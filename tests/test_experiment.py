@@ -200,6 +200,12 @@ def test_cli_rejects_bad_grids(tmp_path, capsys, grid):
          "--label-seed must be at least 0, got -1"),
         (["walk", "{edges}", "--length", "50", "--mode", "exact_ideal", "--count-visit-queries"],
          "--count-visit-queries applies to the hidden model only"),
+        (["walk", "{edges}", "--length", "20", "--seed-node", "1", "--seed-pick-seed", "5"],
+         "--seed-node excludes --seed-pick-seed"),
+        (["walk", "{edges}", "--length", "20", "--seed-node", "1", "--seed-pick-seed", "0"],
+         "--seed-node excludes --seed-pick-seed"),
+        (["estimate", "{samples}", "-m", "2", "--m-fraction", "0.5"], "-m excludes --m-fraction"),
+        (["estimate", "{samples}", "-m", "2", "--m-fraction", "0.025"], "-m excludes --m-fraction"),
     ],
 )
 def test_cli_rejects_bad_walk_and_estimate_args(tmp_path, capsys, argv, message):
@@ -549,11 +555,13 @@ def test_drivers_walk_and_decompose_once_per_trial_seed(tmp_path, medium_graph, 
     monkeypatch.setattr(
         experiment, "largest_public_cluster", counting("cluster", experiment.largest_public_cluster)
     )
+    # one record pass per (p, seed, size), serving every mode
+    monkeypatch.setattr(experiment, "_record", counting("record", experiment._record))
     cfg = _cfg(tmp_path, p_grid=(0.2, 0.3), sample_sizes=(150, 40, 300), trials=3)
     for driver in (run_experiment, query_census):
-        calls.update(select=0, cluster=0)
+        calls.update(select=0, cluster=0, record=0)
         assert driver(cfg, graph=medium_graph)
-        assert calls == {"select": 6, "cluster": 6}, driver.__name__
+        assert calls == {"select": 6, "cluster": 6, "record": 18}, driver.__name__
 
 
 def test_file_labels_pin_the_labeling(tmp_path, medium_graph):
