@@ -126,6 +126,8 @@ def _cmd_estimate(args) -> int:
     fraction = _M_FRACTION if args.m_fraction is None else args.m_fraction
     _check_fraction("--m-fraction", fraction)
     record = load_sample_records(args.record)
+    if record.r < 2:
+        raise ValueError(f"a report needs at least 2 samples, got {record.r}")
     m = args.m if args.m is not None else default_gap_threshold(record.r, fraction)
     rep = build_report(record, m)
     fields = [

@@ -16,9 +16,11 @@ sampling, at the price of converging to a slightly rescaled target.
 Both average-degree estimators are harmonic sample means: the prior one
 over public degrees, the proposed one over plain degrees.
 
-The collision count is one sort of (node, position) keys plus one
-``searchsorted``. The weight sums are prefix sums over the banded index
-set and match the literal O(r^2) double loop to within rounding.
+The collision count packs each sample into one int64 (node, position)
+key, sorts the keys once and counts every sample's far-back partners
+with one linear merge of the keys against themselves shifted by m. The
+weight sums are slices of one prefix sum over the banded index set and
+match the literal O(r^2) double loop to within rounding.
 """
 
 from __future__ import annotations
@@ -83,53 +85,72 @@ def _pair_count(r: int, m: int) -> int:
 def _collision_pairs(nodes: np.ndarray, m: int) -> int:
     """Count ordered index pairs with equal nodes and gap >= m.
 
-    Sample k becomes the key ``id_k * r + k``, where ``id_k`` is the node
-    minus the smallest node, or the node's dense rank when the largest key,
-    ``(max - min + 1) * r - 1`` in Python ints, would not fit in int64.
-    One sort groups the keys by node in position order, and one
-    ``searchsorted`` counts each key's partners m or more positions back.
+    Sample k becomes the key ``id_k << (s + 1) | (k + m) << 1``, where
+    ``s`` is the bit length of ``r + m - 1`` and ``id_k`` is the node
+    minus the smallest node, or the node's dense rank when the id span
+    shifted left by ``s + 1`` would pass 2**63. Its needle
+    ``id_k << (s + 1) | k << 1 | 1`` is the key moved m positions back
+    with the low tag bit set; it stays in its node's run, and the keys
+    below it are those of earlier nodes and those of its own node m or
+    more positions back.
+
+    The keys are sorted once, so the needles are sorted too, and one
+    stable merge of the two runs puts the j-th needle at rank j plus the
+    number of keys below it. The needles' ranks, less ``r(r-1)/2`` and
+    less the keys of earlier nodes (each run's start times its length),
+    sum to every sample's partners m or more positions back.
     """
     r = nodes.size
+    shift = (r + m - 1).bit_length() + 1
     lo, hi = int(nodes.min()), int(nodes.max())
-    if (hi - lo + 1) * r <= 2**63:
-        key = np.subtract(nodes, lo, dtype=np.int64)
+    merged = np.empty(2 * r, dtype=np.int64)
+    key = merged[:r]
+    if (hi - lo + 1) << shift <= 2**63:
+        np.subtract(nodes, lo, out=key, dtype=np.int64)
     else:
-        key = np.unique(nodes, return_inverse=True)[1]
-    key = np.sort(key * r + np.arange(r))  # keys are unique: stability is moot
-    run_start = np.arange(r)
-    run_start[1:][np.diff(key // r) == 0] = 0
-    np.maximum.accumulate(run_start, out=run_start)
-    # a position below m searches below its run start and is clipped to 0
-    below = np.searchsorted(key, key - m, side="right") - run_start
-    return 2 * int(below[below > 0].sum())
+        key[:] = np.unique(nodes, return_inverse=True)[1]
+    key <<= shift
+    key |= np.arange(2 * m, 2 * (r + m), 2)
+    key.sort()
+    ids = key >> shift
+    runs = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1], [True])))
+    earlier = int(runs[:-1] @ np.diff(runs))
+    np.subtract(key, 2 * m - 1, out=merged[r:])
+    merged.sort(kind="stable")  # timsort: one merge of two sorted runs
+    merged &= 1  # the tag bit: 1 marks a needle
+    ranks = int(np.flatnonzero(merged.astype(bool)).sum())
+    return 2 * (ranks - r * (r - 1) // 2 - earlier)
 
 
-def size_estimates(record: WalkRecord, m: int) -> _SizeEstimates:
-    """Collision mean, both weight means, and both size estimates.
-
-    Raises :class:`NoCollisionError` when no admissible pair collides.
-    """
-    r = record.r
+def _check_gap(r: int, m: int) -> None:
     if not 1 <= m < r:
         raise ValueError(f"gap threshold must satisfy 1 <= m < r, got m={m}, r={r}")
-    dstar = record.public_degrees
-    if not np.all(dstar > 0):
-        raise ValueError("every sample needs a positive public-degree value")
-    d = record.degrees.astype(np.float64)
 
+
+def _check_positive(values: np.ndarray, what: str) -> None:
+    if not np.all(values > 0):
+        raise ValueError(f"every sample needs a positive {what}")
+
+
+def _size_estimates(record: WalkRecord, m: int, inv: np.ndarray) -> _SizeEstimates:
+    r = record.r
     pairs = _pair_count(r, m)
     collisions = _collision_pairs(record.nodes, m)
 
     # sum over far-away partners via prefix sums: for index k the partners
-    # are everything outside the window [k-m+1, k+m-1]
-    inv = 1.0 / dstar
-    csum = np.concatenate(([0.0], np.cumsum(inv)))
-    k_idx = np.arange(r)
-    near = csum[np.minimum(k_idx + m, r)] - csum[np.maximum(k_idx - m + 1, 0)]
-    far = csum[-1] - near
+    # are everything outside the window [k-m+1, k+m-1], so its near sum is
+    # csum[min(k+m, r)] - csum[max(k-m+1, 0)], taken here as slices
+    csum = np.empty(r + 1)
+    csum[0] = 0.0
+    np.cumsum(inv, out=csum[1:])
+    far = np.empty(r)
+    far[: r - m + 1] = csum[m:]
+    far[r - m + 1 :] = csum[r]
+    far[m:] -= csum[1 : r - m + 1]  # csum[0] is 0: nothing to take below m
+    np.subtract(csum[r], far, out=far)
 
-    psi_prior = float(dstar @ far) / pairs
-    psi_proposed = float(d @ far) / pairs
+    psi_prior = float(record.public_degrees @ far) / pairs
+    psi_proposed = float(record.degrees.astype(np.float64) @ far) / pairs
 
     if collisions == 0:
         raise NoCollisionError(
@@ -139,17 +160,26 @@ def size_estimates(record: WalkRecord, m: int) -> _SizeEstimates:
     return _SizeEstimates(phi, psi_prior, psi_proposed, psi_prior / phi, psi_proposed / phi)
 
 
+def _harmonic_means(record: WalkRecord, inv: np.ndarray) -> tuple[float, float]:
+    r = record.r
+    return r / float(np.sum(inv)), r / float(np.sum(1.0 / record.degrees))
+
+
+def size_estimates(record: WalkRecord, m: int) -> _SizeEstimates:
+    """Collision mean, both weight means, and both size estimates.
+
+    Raises :class:`NoCollisionError` when no admissible pair collides.
+    """
+    _check_gap(record.r, m)
+    _check_positive(record.public_degrees, "public-degree value")
+    return _size_estimates(record, m, 1.0 / record.public_degrees)
+
+
 def avg_degree_estimates(record: WalkRecord) -> tuple[float, float]:
     """Harmonic-mean average-degree estimates: (prior, proposed)."""
-    if not np.all(record.degrees > 0):
-        raise ValueError("every sample needs a positive degree")
-    dstar = record.public_degrees
-    if not np.all(dstar > 0):
-        raise ValueError("every sample needs a positive public-degree value")
-    r = record.r
-    smooth = r / float(np.sum(1.0 / dstar))
-    proposed = r / float(np.sum(1.0 / record.degrees))
-    return smooth, proposed
+    _check_positive(record.degrees, "degree")
+    _check_positive(record.public_degrees, "public-degree value")
+    return _harmonic_means(record, 1.0 / record.public_degrees)
 
 
 def build_report(record: WalkRecord, m: int | None = None) -> EstimateReport:
@@ -157,8 +187,12 @@ def build_report(record: WalkRecord, m: int | None = None) -> EstimateReport:
     :func:`default_gap_threshold` of the record length."""
     if m is None:
         m = default_gap_threshold(record.r)
-    size = size_estimates(record, m)
-    smooth, proposed = avg_degree_estimates(record)
+    _check_gap(record.r, m)
+    _check_positive(record.public_degrees, "public-degree value")
+    inv = 1.0 / record.public_degrees
+    size = _size_estimates(record, m, inv)
+    _check_positive(record.degrees, "degree")
+    smooth, proposed = _harmonic_means(record, inv)
     return EstimateReport(
         **size._asdict(),
         avg_degree_smooth=smooth,

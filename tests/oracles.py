@@ -8,6 +8,8 @@ through the access facade below. Slow but obviously correct. The two graph
 builders take the plain routes: a per-edge ``set`` loop, and an edge-list
 pipeline that sorts its CSR again after keeping the largest component.
 The collision count loops over nodes with one small search per node.
+The weight sums gather each sample's window ends from the prefix sum
+through clipped index arrays.
 The NRMSE sweep walks each (p, r, seed) cell on its own through
 ``run_walk``, and the query census walks each trial once per hidden
 mode, with nested loops over the grid and the trials.
@@ -332,6 +334,27 @@ def reference_collision_pairs(nodes, m: int) -> int:
         pos = order[s:e]
         total += int(np.searchsorted(pos, pos - m, side="right").sum())
     return 2 * total
+
+
+def reference_weight_sums(degrees, pubdegs, m: int) -> tuple[float, float, float, float]:
+    """Both weight means and both harmonic average degrees, by gathers.
+
+    For sample k the partners lie outside the window [k-m+1, k+m-1], so
+    its far-partner sum is the prefix sum's total less the prefix sum
+    gathered at the clipped window ends. Returns (weight_mean_prior,
+    weight_mean_proposed, avg_degree_smooth, avg_degree_proposed).
+    """
+    dstar = np.asarray(pubdegs, dtype=np.float64)
+    degrees = np.asarray(degrees)
+    r = dstar.size
+    inv = 1.0 / dstar
+    csum = np.concatenate(([0.0], np.cumsum(inv)))
+    k_idx = np.arange(r)
+    near = csum[np.minimum(k_idx + m, r)] - csum[np.maximum(k_idx - m + 1, 0)]
+    far = csum[-1] - near
+    pairs = (r - m) * (r - m + 1)
+    return (float(dstar @ far) / pairs, float(degrees.astype(np.float64) @ far) / pairs,
+            r / float(np.sum(1.0 / dstar)), r / float(np.sum(1.0 / degrees)))
 
 
 def outer_pair_stats(nodes, degrees, pubdegs, m):

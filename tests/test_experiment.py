@@ -206,14 +206,18 @@ def test_cli_rejects_bad_grids(tmp_path, capsys, grid):
          "--seed-node excludes --seed-pick-seed"),
         (["estimate", "{samples}", "-m", "2", "--m-fraction", "0.5"], "-m excludes --m-fraction"),
         (["estimate", "{samples}", "-m", "2", "--m-fraction", "0.025"], "-m excludes --m-fraction"),
+        (["estimate", "{one}"], "a report needs at least 2 samples, got 1"),
+        (["estimate", "{one}", "-m", "1"], "a report needs at least 2 samples, got 1"),
     ],
 )
 def test_cli_rejects_bad_walk_and_estimate_args(tmp_path, capsys, argv, message):
     from privwalk.cli import main
 
-    paths = {"edges": tmp_path / "edges.txt", "samples": tmp_path / "samples.txt"}
+    paths = {"edges": tmp_path / "edges.txt", "samples": tmp_path / "samples.txt",
+             "one": tmp_path / "one.txt"}
     write_edge_file(paths["edges"], [(0, 1), (1, 2), (2, 3)])
     paths["samples"].write_text("5 3 2.0\n7 2 2.0\n5 3 2.0\n")
+    paths["one"].write_text("5 3 2.0\n")
     assert main([a.format(**paths) for a in argv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 
