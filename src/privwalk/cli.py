@@ -53,11 +53,9 @@ def _cmd_ingest(args) -> int:
     print(f"edges {g.edge_count}")
     print(f"avg_degree {g.avg_degree:.6g}")
     if args.out_edges:
-        src = g.edge_sources()
+        u, v = g.edge_pairs()
         with open(args.out_edges, "w") as f:
-            for u, v in zip(src, g.indices):
-                if u < v:
-                    f.write(f"{u} {v}\n")
+            f.write("".join(map("{} {}\n".format, u.tolist(), v.tolist())))
         print(f"wrote {args.out_edges}")
     if args.out_map:
         with open(args.out_map, "w") as f:

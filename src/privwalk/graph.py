@@ -1,14 +1,20 @@
 """Immutable labeled-graph storage and public-cluster decomposition.
 
-Adjacency is held in compressed sparse row form (``indptr``/``indices``
-with sorted neighbor lists) plus one privacy flag per node; this module
-builds and restricts every CSR. All arrays are frozen after construction
-and nothing is cached, so graphs and cluster views can be shared freely
-across threads and worker processes.
+A graph holds its adjacency twice, in compressed sparse row form
+(``indptr``/``indices``, each row's neighbors sorted). The full
+symmetric CSR lists every edge in both directions and is what the walk
+reads. The upper-triangle CSR keeps only the entries ``j > i`` of row
+``i``, int32 throughout, and is what the component decomposition reads.
+Both are label-independent and built once per graph; relabeling shares
+them. This module builds and restricts every CSR. All arrays are frozen
+after construction and nothing is cached, so graphs and cluster views
+can be shared freely across threads and worker processes.
 """
 
 from __future__ import annotations
 
+import copy
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -37,11 +43,13 @@ class LabeledGraph:
     """Undirected, connected, simple graph with per-node privacy labels.
 
     ``is_private[v]`` is True when node ``v`` hides its neighbor list.
-    Instances are immutable; relabeling returns a new graph that shares
-    the adjacency arrays.
+    ``upper_indptr``/``upper_indices`` hold the upper triangle of the
+    adjacency (see the module docstring). Instances are immutable;
+    relabeling returns a new graph that shares every adjacency array.
     """
 
-    __slots__ = ("indptr", "indices", "is_private", "orig_ids", "degrees")
+    __slots__ = ("indptr", "indices", "degrees", "upper_indptr", "upper_indices",
+                 "is_private", "orig_ids")
 
     def __init__(
         self,
@@ -52,9 +60,12 @@ class LabeledGraph:
     ):
         self.indptr = _freeze(np.asarray(indptr, dtype=np.int64))
         self.indices = _freeze(np.asarray(indices))
+        self.degrees = _freeze(np.diff(self.indptr))
+        upper_indptr, upper_indices = _upper_csr(self.indices, self.degrees)
+        self.upper_indptr = _freeze(upper_indptr)
+        self.upper_indices = _freeze(upper_indices)
         self.is_private = _freeze(np.asarray(is_private, dtype=bool))
         self.orig_ids = _freeze(np.asarray(orig_ids)) if orig_ids is not None else None
-        self.degrees = _freeze(np.diff(self.indptr))
 
     # -- basic shape ---------------------------------------------------
 
@@ -82,9 +93,9 @@ class LabeledGraph:
         """Sorted neighbor ids of ``v`` (read-only view)."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
-    def edge_sources(self) -> np.ndarray:
-        """Source id for every directed adjacency entry, aligned with ``indices``."""
-        return np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
+    def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every edge once, as arrays ``(u, v)`` with ``u < v``, ordered by ``u`` then ``v``."""
+        return np.repeat(np.arange(self.node_count), np.diff(self.upper_indptr)), self.upper_indices
 
     # -- labels ---------------------------------------------------------
 
@@ -97,11 +108,13 @@ class LabeledGraph:
         return self.private_count / self.node_count
 
     def with_labels(self, is_private: np.ndarray) -> "LabeledGraph":
-        """New graph with the same adjacency but different privacy labels."""
+        """New graph that shares this one's adjacency arrays, with new privacy labels."""
         is_private = np.asarray(is_private, dtype=bool)
         if is_private.shape != (self.node_count,):
             raise GraphError("label vector length does not match node count")
-        return LabeledGraph(self.indptr, self.indices, is_private, self.orig_ids)
+        g = copy.copy(self)
+        g.is_private = _freeze(is_private)
+        return g
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -170,8 +183,13 @@ def build_graph(
     if n == 0:
         raise GraphError("graph needs at least one node")
 
-    e = np.fromiter(edges, dtype=np.dtype((np.int64, 2)))
-    u, v = e[:, 0], e[:, 1]
+    edges = list(edges)
+    if set(map(len, edges)) - {2}:
+        i = next(i for i, edge in enumerate(edges) if len(edge) != 2)
+        raise GraphError(f"edge {i} is not a pair: {edges[i]!r}")
+    # one flat pass; a subarray dtype in np.fromiter converts pair by pair
+    e = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+    u, v = e[0::2], e[1::2]
     # the first bad edge in input order raises; per edge the range check
     # comes first, then the self-loop, then the duplicate check
     out_of_range = (u < 0) | (u >= n) | (v < 0) | (v >= n)
@@ -195,11 +213,11 @@ def build_graph(
     if not key.size:
         raise GraphError("edge list must be non-empty")
 
-    indptr, indices = _csr_from_pairs(key // n, key % n, n)
-    n_comp, _ = _components(indptr, indices, n)
+    g = LabeledGraph(*_csr_from_pairs(key // n, key % n, n), is_private)
+    n_comp, _ = _components(g.upper_indptr, g.upper_indices, n)
     if n_comp != 1:
         raise GraphError(f"graph is not connected ({n_comp} components)")
-    return LabeledGraph(indptr, indices, is_private)
+    return g
 
 
 def _csr_from_pairs(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -217,27 +235,49 @@ def _csr_from_pairs(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray,
     return indptr, dst
 
 
+def _upper_csr(indices: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Upper triangle of a symmetric CSR with sorted rows, as int32 arrays.
+
+    Row ``i`` keeps its entries ``j > i``, a suffix of the row. The only
+    temporaries the size of ``indices`` are an int32 row id and a bool
+    mask per entry.
+    """
+    n = degrees.size
+    above = indices > np.repeat(np.arange(n, dtype=np.int32), degrees)
+    upper_indices = np.compress(above, indices, out=np.empty(np.count_nonzero(above), np.int32))
+    # by symmetry, row i has as many entries below the diagonal as column i
+    # has above it
+    upper_indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(degrees - np.bincount(upper_indices, minlength=n), out=upper_indptr[1:])
+    return upper_indptr, upper_indices
+
+
 def _restrict(indptr, indices, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR entries whose two ends are both ``keep``; every other row is empty."""
-    entry = np.repeat(keep, np.diff(indptr)) & keep[indices]
-    kept = np.zeros(entry.size + 1, dtype=np.int64)
-    np.cumsum(entry, out=kept[1:])
-    return kept[indptr], indices[entry]
+    """The CSR entries whose two ends are both ``keep``; every other row is empty.
+
+    The new ``indptr`` is int64; ``indices`` keeps its dtype.
+    """
+    kept = np.flatnonzero(np.repeat(keep, np.diff(indptr)) & keep[indices])
+    return np.searchsorted(kept, indptr), indices[kept]
 
 
 def _components(indptr: np.ndarray, indices: np.ndarray, n: int) -> tuple[int, np.ndarray]:
-    """Connected components of a symmetric CSR: count and per-node label.
+    """Connected components of an upper-triangle CSR: count and per-node label.
 
-    A symmetric CSR's strong components are its connected components, and
-    SciPy's strong path skips the transpose its undirected path builds;
-    int32 indices and float64 data are the dtypes it works in, so SciPy
-    copies nothing. Labels number the components in order of their
-    smallest node id, so ``np.argmax`` of the label counts breaks size
-    ties toward that node.
+    The CSR holds each undirected edge once, in the row of its smaller
+    end, as :func:`_upper_csr` makes it and :func:`_restrict` keeps it.
+    SciPy's undirected (weak) path adds the transpose, so its search
+    follows every edge both ways. Given int32 index arrays and float64
+    data, that transpose is the only copy SciPy makes. Labels number the
+    components in order of their smallest node id, so ``np.argmax`` of
+    the label counts breaks size ties toward that node.
     """
-    data = np.ones(indices.size)
-    adj = csr_matrix((data, indices.astype(np.int32), indptr.astype(np.int32)), shape=(n, n))
-    return connected_components(adj, directed=True, connection="strong")
+    adj = csr_matrix(
+        (np.ones(indices.size), indices.astype(np.int32, copy=False),
+         indptr.astype(np.int32, copy=False)),
+        shape=(n, n),
+    )
+    return connected_components(adj, directed=False)
 
 
 def assign_labels_bernoulli(g: LabeledGraph, p: float, rng_seed) -> LabeledGraph:
@@ -261,11 +301,13 @@ def largest_public_cluster(g: LabeledGraph) -> PublicClusterView:
     pub = ~g.is_private
     if not pub.any():
         raise GraphError("graph has no public node")
-    indptr, indices = _restrict(g.indptr, g.indices, pub)
-    # public-neighbor count per node; for cluster members this equals the
-    # number of neighbors inside their own cluster
-    pub_deg = np.diff(indptr)
-    _, comp = _components(indptr, indices, g.node_count)
+    n = g.node_count
+    indptr, indices = _restrict(g.upper_indptr, g.upper_indices, pub)
+    # public-neighbor count per node, the public entries of its row plus
+    # those of its column; for cluster members this equals the number of
+    # neighbors inside their own cluster
+    pub_deg = np.diff(indptr) + np.bincount(indices, minlength=n)
+    _, comp = _components(indptr, indices, n)
 
     # private nodes are isolated here, so each component with a public
     # node is a public cluster

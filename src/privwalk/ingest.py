@@ -112,21 +112,24 @@ def load_edge_list(path) -> LabeledGraph:
     The returned graph is all-public, connected (largest component),
     densely renumbered, with the original ids in ``graph.orig_ids``.
     """
-    src, dst = _parsed(path, _numpy_edges, _line_edges)
-    # dense id space; _csr_from_pairs drops the repeated edges
-    ids, dense = np.unique(np.concatenate([src, dst]), return_inverse=True)
-    src, dst = dense[: src.size], dense[src.size :]
+    # dense id space over both ends, sources first; the parsed columns are
+    # freed before the sort. _csr_from_pairs drops the repeated edges
+    ids, dense = np.unique(np.concatenate(_parsed(path, _numpy_edges, _line_edges)),
+                           return_inverse=True)
+    src, dst = np.split(dense, 2)
     indptr, indices = _csr_from_pairs(np.minimum(src, dst), np.maximum(src, dst), ids.size)
+    del src, dst, dense  # freed before the graph derives its upper triangle
+    g = LabeledGraph(indptr, indices, np.zeros(ids.size, dtype=bool), orig_ids=ids)
 
-    n_comp, comp = _components(indptr, indices, ids.size)
+    n_comp, comp = _components(g.upper_indptr, g.upper_indices, ids.size)
     if n_comp > 1:
         keep = comp == np.argmax(np.bincount(comp))  # ties: the smallest label
-        indptr, indices = _restrict(indptr, indices, keep)
+        indptr, indices = _restrict(g.indptr, g.indices, keep)
         # renumber by dropping the emptied rows
         indptr = indptr[np.append(keep, True)]
         indices = (np.cumsum(keep) - 1)[indices]
-        ids = ids[keep]
-    return LabeledGraph(indptr, indices, np.zeros(ids.size, dtype=bool), orig_ids=ids)
+        g = LabeledGraph(indptr, indices, np.zeros(indptr.size - 1, dtype=bool), orig_ids=ids[keep])
+    return g
 
 
 _PRIVATE_TOKENS = {"1": True, "private": True, "0": False, "public": False}

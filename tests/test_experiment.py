@@ -283,8 +283,7 @@ def test_cli_theory_matches_experiment_theory(tmp_path, medium_graph, labels):
     from privwalk.cli import main
 
     dataset, label_file = tmp_path / "edges.txt", tmp_path / "labels.txt"
-    src = medium_graph.edge_sources()
-    write_edge_file(dataset, [(u, v) for u, v in zip(src, medium_graph.indices) if u < v])
+    write_edge_file(dataset, zip(*medium_graph.edge_pairs()))
     save_labels(assign_labels_bernoulli(medium_graph, 0.2, 8), label_file)
     cfg = _cfg(tmp_path, dataset=str(dataset), labels=labels,
                label_file=str(label_file) if labels == "file" else None,

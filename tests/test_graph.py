@@ -49,6 +49,13 @@ def test_build_graph_rejects_out_of_range():
         build_graph([(0, 5)], [False] * 3)
 
 
+@pytest.mark.parametrize("bad", [(1,), (1, 2, 0)])
+def test_build_graph_rejects_an_edge_that_is_no_pair(bad):
+    with pytest.raises(GraphError) as exc:
+        build_graph(iter([(0, 1), bad]), [False] * 3)
+    assert str(exc.value) == f"edge 1 is not a pair: {bad!r}"
+
+
 def test_build_graph_duplicate_and_self_loop_policy():
     with pytest.raises(GraphError, match="duplicate"):
         build_graph([(0, 1), (1, 0)], [False] * 2)

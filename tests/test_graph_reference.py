@@ -1,6 +1,6 @@
-"""The CSR builders, the component labelling and the public-cluster
-decomposition against their per-edge, two-sort, SciPy-undirected and
-flood-fill references, on random inputs."""
+"""The CSR builders, the upper-triangle CSR, the component labelling and
+the public-cluster decomposition against their per-edge, two-sort,
+per-row, SciPy-undirected and flood-fill references, on random inputs."""
 
 import tempfile
 from dataclasses import fields
@@ -25,7 +25,7 @@ from privwalk import (
     largest_public_cluster,
     load_edge_list,
 )
-from privwalk.graph import _components, _csr_from_pairs, _restrict
+from privwalk.graph import _components, _csr_from_pairs, _restrict, _upper_csr
 
 
 def _same_array(got, ref):
@@ -120,18 +120,24 @@ def test_load_edge_list_matches_two_sort_reference(pairs):
 
 @st.composite
 def symmetric_csrs(draw):
-    """A symmetric CSR over ``0..n-1`` as the callers of ``_components`` make
-    it: random edges, then rows emptied by a restriction; many nodes isolated."""
+    """A graph over ``0..n-1`` as the callers of ``_components`` make it:
+    random edges, then rows emptied by a restriction; many nodes isolated.
+
+    Returns ``n``, the full symmetric CSR and its upper triangle, the
+    latter built by ``_upper_csr`` and restricted by ``_restrict``.
+    """
     n = draw(st.integers(2, 40))
     node = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
                           min_size=1, max_size=2 * n))
     lo, hi = np.sort(np.array(pairs, dtype=np.int64), axis=1).T
-    indptr, indices = _csr_from_pairs(lo, hi, n)
+    full = _csr_from_pairs(lo, hi, n)
+    upper = _upper_csr(full[1], np.diff(full[0]))
     if draw(st.booleans()):
         keep = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-        indptr, indices = _restrict(indptr, indices, keep)
-    return n, indptr, indices
+        full = _restrict(*full, keep)
+        upper = _restrict(*upper, keep)
+    return n, full, upper
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -139,14 +145,49 @@ def symmetric_csrs(draw):
 def test_components_match_scipy_undirected_numbering(case):
     # largest_public_cluster and load_edge_list break size ties by this
     # numbering: components in order of their smallest node
-    n, indptr, indices = case
+    n, (indptr, indices), (upper_indptr, upper_indices) = case
     adj = csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(n, n))
     want_count, want = connected_components(adj, directed=False)
-    count, labels = _components(indptr, indices, n)
+    count, labels = _components(upper_indptr, upper_indices, n)
     assert count == want_count
     _same_array(labels, want)
     first = np.unique(labels, return_index=True)[1]
     assert np.all(np.diff(first) > 0)
+
+
+@st.composite
+def graphs(draw):
+    """A graph from ``build_graph``, or from ``load_edge_list`` on a file
+    of usually several components, then relabeled by ``with_labels`` or not."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 40))
+        extra = draw(st.integers(0, min(2 * n, (n - 1) * (n - 2) // 2)))
+        g = build_graph(random_connected_edges(n, extra, seed=draw(st.integers(0, 2**32 - 1))),
+                        [False] * n)
+    else:
+        pairs = draw(edge_files().filter(lambda ps: any(u != v for u, v in ps)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "edges.txt"
+            path.write_text("".join(f"{u} {v}\n" for u, v in pairs))
+            g = load_edge_list(path)
+    if draw(st.booleans()):
+        n = g.node_count
+        g = g.with_labels(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return g
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(graphs())
+def test_upper_csr_is_the_full_csr_above_the_diagonal(g):
+    rows = [g.neighbors(i) for i in range(g.node_count)]
+    upper = [row[row > i] for i, row in enumerate(rows)]
+    assert g.upper_indptr.dtype == g.upper_indices.dtype == np.int32
+    assert g.upper_indptr.tolist() == np.cumsum([0] + [u.size for u in upper]).tolist()
+    for i, want in enumerate(upper):
+        got = g.upper_indices[g.upper_indptr[i] : g.upper_indptr[i + 1]]
+        assert got.tolist() == want.tolist()
+        assert np.all(np.diff(got) > 0)
+    assert not (g.upper_indptr.flags.writeable or g.upper_indices.flags.writeable)
 
 
 @st.composite

@@ -4,8 +4,11 @@ import re
 import numpy as np
 import pytest
 
+from graphgen import write_edge_file
+
 from privwalk import (
     IngestError,
+    assign_labels_bernoulli,
     load_edge_list,
     load_labels,
     load_sample_records,
@@ -60,11 +63,7 @@ def test_preprocessing_is_idempotent(tmp_path):
     f = _write(tmp_path / "edges.txt", "4 9\n9 2\n2 4\n2 7\n11 12\n")
     g1 = load_edge_list(f)
     out = tmp_path / "clean.txt"
-    with open(out, "w") as fh:
-        src = g1.edge_sources()
-        for a, b in zip(src, g1.indices):
-            if a < b:
-                fh.write(f"{a} {b}\n")
+    write_edge_file(out, zip(*g1.edge_pairs()))
     g2 = load_edge_list(out)
     assert g2.node_count == g1.node_count
     assert np.array_equal(g2.indptr, g1.indptr)
@@ -134,6 +133,17 @@ def test_label_round_trip(tmp_path):
     assert "10 1" in text and "20 0" in text
     g2 = load_labels(out, g)
     assert np.array_equal(g2.is_private, gl.is_private)
+
+
+def test_relabeled_graphs_share_the_frozen_topology(tmp_path):
+    g = load_edge_list(_write(tmp_path / "e.txt", "1 2\n2 3\n3 1\n3 4\n8 9\n"))
+    labels = _write(tmp_path / "labels.txt", "1 0\n2 1\n3 0\n4 1\n")
+    for gl in (assign_labels_bernoulli(g, 0.5, 3), load_labels(labels, g)):
+        for name in ("indptr", "indices", "degrees", "upper_indptr", "upper_indices"):
+            assert getattr(gl, name) is getattr(g, name), name
+            assert not getattr(gl, name).flags.writeable, name
+        assert gl.orig_ids is g.orig_ids
+        assert not gl.is_private.flags.writeable
 
 
 def test_label_tokens_and_strictness(tmp_path):
