@@ -358,10 +358,7 @@ def _write_theory(path, g: LabeledGraph, p_grid, label_seed: int) -> int:
     One row per rate of ``p_grid``, labels drawn from ``label_seed``; with
     ``p_grid`` None, one row for the labels ``g`` carries.
     """
-    if p_grid is None:
-        rows = theory_report_rows(g, [g.private_fraction], view=largest_public_cluster(g))
-    else:
-        rows = theory_report_rows(g, p_grid, label_seed=label_seed)
+    rows = theory_report_rows(g, p_grid, label_seed)
     _write_csv(path, THEORY_COLUMNS, [tuple(row[c] for c in THEORY_COLUMNS) for row in rows])
     return len(rows)
 

@@ -1,14 +1,15 @@
 """Immutable labeled-graph storage and public-cluster decomposition.
 
-A graph holds its adjacency twice, in compressed sparse row form
-(``indptr``/``indices``, each row's neighbors sorted). The full
-symmetric CSR lists every edge in both directions and is what the walk
-reads. The upper-triangle CSR keeps only the entries ``j > i`` of row
-``i``, int32 throughout, and is what the component decomposition reads.
-Both are label-independent and built once per graph; relabeling shares
-them. This module builds and restricts every CSR. All arrays are frozen
-after construction and nothing is cached, so graphs and cluster views
-can be shared freely across threads and worker processes.
+A graph holds its adjacency once, in compressed sparse row form
+(``indptr``/``indices``, each row's neighbors sorted, every edge listed
+in both directions). The CSR is label-independent and built once per
+graph; relabeling shares it. This module builds the CSR from edge pairs
+and answers every component question with :func:`largest_public_cluster`:
+the connectivity check of :func:`build_graph`, the largest component
+that edge-list ingest keeps, and the public cluster of each trial. All
+arrays are frozen after construction and nothing is cached, so graphs
+and cluster views can be shared freely across threads and worker
+processes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 
 class GraphError(ValueError):
@@ -43,13 +44,12 @@ class LabeledGraph:
     """Undirected, connected, simple graph with per-node privacy labels.
 
     ``is_private[v]`` is True when node ``v`` hides its neighbor list.
-    ``upper_indptr``/``upper_indices`` hold the upper triangle of the
-    adjacency (see the module docstring). Instances are immutable;
-    relabeling returns a new graph that shares every adjacency array.
+    ``indptr``/``indices`` hold the full symmetric adjacency (see the
+    module docstring). Instances are immutable; relabeling returns a new
+    graph that shares every adjacency array.
     """
 
-    __slots__ = ("indptr", "indices", "degrees", "upper_indptr", "upper_indices",
-                 "is_private", "orig_ids")
+    __slots__ = ("indptr", "indices", "degrees", "is_private", "orig_ids")
 
     def __init__(
         self,
@@ -61,9 +61,6 @@ class LabeledGraph:
         self.indptr = _freeze(np.asarray(indptr, dtype=np.int64))
         self.indices = _freeze(np.asarray(indices))
         self.degrees = _freeze(np.diff(self.indptr))
-        upper_indptr, upper_indices = _upper_csr(self.indices, self.degrees)
-        self.upper_indptr = _freeze(upper_indptr)
-        self.upper_indices = _freeze(upper_indices)
         self.is_private = _freeze(np.asarray(is_private, dtype=bool))
         self.orig_ids = _freeze(np.asarray(orig_ids)) if orig_ids is not None else None
 
@@ -94,8 +91,14 @@ class LabeledGraph:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every edge once, as arrays ``(u, v)`` with ``u < v``, ordered by ``u`` then ``v``."""
-        return np.repeat(np.arange(self.node_count), np.diff(self.upper_indptr)), self.upper_indices
+        """Every edge once, as arrays ``(u, v)`` with ``u < v``, ordered by ``u`` then ``v``.
+
+        Row ``u`` of the CSR keeps its entries above the diagonal; ``u`` is
+        int64 and ``v`` has the dtype of ``indices``.
+        """
+        u = np.repeat(np.arange(self.node_count), self.degrees)
+        above = self.indices > u
+        return u[above], self.indices[above]
 
     # -- labels ---------------------------------------------------------
 
@@ -214,7 +217,8 @@ def build_graph(
         raise GraphError("edge list must be non-empty")
 
     g = LabeledGraph(*_csr_from_pairs(key // n, key % n, n), is_private)
-    n_comp, _ = _components(g.upper_indptr, g.upper_indices, n)
+    census = largest_public_cluster(g.with_labels(np.zeros(n, dtype=bool))).cluster_census
+    n_comp = sum(count for _, count in census)
     if n_comp != 1:
         raise GraphError(f"graph is not connected ({n_comp} components)")
     return g
@@ -235,49 +239,34 @@ def _csr_from_pairs(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray,
     return indptr, dst
 
 
-def _upper_csr(indices: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Upper triangle of a symmetric CSR with sorted rows, as int32 arrays.
+def _induced(indptr, indices, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of the subgraph induced by the nodes where
+    ``keep`` is True, renumbered ``0..k-1`` in id order; both int64.
 
-    Row ``i`` keeps its entries ``j > i``, a suffix of the row. The only
-    temporaries the size of ``indices`` are an int32 row id and a bool
-    mask per entry.
+    Only the kept rows are read, so the cost follows their entries, not
+    the whole graph's. Each row keeps its order.
     """
-    n = degrees.size
-    above = indices > np.repeat(np.arange(n, dtype=np.int32), degrees)
-    upper_indices = np.compress(above, indices, out=np.empty(np.count_nonzero(above), np.int32))
-    # by symmetry, row i has as many entries below the diagonal as column i
-    # has above it
-    upper_indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(degrees - np.bincount(upper_indices, minlength=n), out=upper_indptr[1:])
-    return upper_indptr, upper_indices
+    nodes = np.flatnonzero(keep)
+    starts = indptr[nodes]
+    lens = indptr[nodes + 1] - starts
+    ends = np.cumsum(lens)
+    # the kept rows' entry positions, row after row
+    pos = np.repeat(starts - ends + lens, lens)
+    pos += np.arange(pos.size)
+    cols = indices[pos]
+    del pos
+    inside = np.flatnonzero(keep[cols])
+    new_indptr = np.searchsorted(inside, np.concatenate(([0], ends)))
+    return new_indptr, (np.cumsum(keep) - 1)[cols[inside]]
 
 
-def _restrict(indptr, indices, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR entries whose two ends are both ``keep``; every other row is empty.
+def _csgraph(indptr, indices, n: int) -> csr_matrix:
+    """A CSR over ``0..n-1`` as SciPy's graph routines take it.
 
-    The new ``indptr`` is int64; ``indices`` keeps its dtype.
+    They read no weights, so one broadcast 1.0 stands for every entry's
+    data; with int32 index arrays SciPy's search copies nothing.
     """
-    kept = np.flatnonzero(np.repeat(keep, np.diff(indptr)) & keep[indices])
-    return np.searchsorted(kept, indptr), indices[kept]
-
-
-def _components(indptr: np.ndarray, indices: np.ndarray, n: int) -> tuple[int, np.ndarray]:
-    """Connected components of an upper-triangle CSR: count and per-node label.
-
-    The CSR holds each undirected edge once, in the row of its smaller
-    end, as :func:`_upper_csr` makes it and :func:`_restrict` keeps it.
-    SciPy's undirected (weak) path adds the transpose, so its search
-    follows every edge both ways. Given int32 index arrays and float64
-    data, that transpose is the only copy SciPy makes. Labels number the
-    components in order of their smallest node id, so ``np.argmax`` of
-    the label counts breaks size ties toward that node.
-    """
-    adj = csr_matrix(
-        (np.ones(indices.size), indices.astype(np.int32, copy=False),
-         indptr.astype(np.int32, copy=False)),
-        shape=(n, n),
-    )
-    return connected_components(adj, directed=False)
+    return csr_matrix((np.broadcast_to(1.0, indices.shape), indices, indptr), shape=(n, n))
 
 
 def assign_labels_bernoulli(g: LabeledGraph, p: float, rng_seed) -> LabeledGraph:
@@ -295,27 +284,53 @@ def assign_labels_bernoulli(g: LabeledGraph, p: float, rng_seed) -> LabeledGraph
 def largest_public_cluster(g: LabeledGraph) -> PublicClusterView:
     """Decompose the public-induced subgraph and return its largest cluster.
 
-    Ties on size are broken toward the cluster containing the smallest
-    node id. Raises :class:`GraphError` when the graph has no public node.
+    The largest cluster is the one with the most nodes; ties on size go
+    to the cluster holding the smallest node id. Raises
+    :class:`GraphError` when the graph has no public node.
+
+    The search runs on the public-row CSR: the full CSR with the rows of
+    private nodes emptied, int32 throughout. A breadth-first search that
+    follows its rows from the public node with the most public neighbors
+    reaches that node's cluster, plus the private nodes beside it, which
+    it leaves by no edge. Only the public nodes it did not reach are then
+    labeled, by one component call on the subgraph they induce; on a
+    well-connected graph they are few or none. The public degrees are the
+    column counts of the public-row CSR: the number of public neighbors,
+    all of which lie in the node's own cluster.
     """
     pub = ~g.is_private
     if not pub.any():
         raise GraphError("graph has no public node")
     n = g.node_count
-    indptr, indices = _restrict(g.upper_indptr, g.upper_indices, pub)
-    # public-neighbor count per node, the public entries of its row plus
-    # those of its column; for cluster members this equals the number of
-    # neighbors inside their own cluster
-    pub_deg = np.diff(indptr) + np.bincount(indices, minlength=n)
-    _, comp = _components(indptr, indices, n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.where(pub, g.degrees, 0), out=indptr[1:])
+    indices = g.indices[np.repeat(pub, g.degrees)]
+    # bincount reads intp, so it counts before the cast to int32
+    pub_deg = np.bincount(indices, minlength=n)
+    indices = indices.astype(np.int32)
+    hub = int(np.argmax(np.where(pub, pub_deg, -1)))
+    member_flag = np.zeros(n, dtype=bool)
+    member_flag[breadth_first_order(_csgraph(indptr, indices, n), hub, directed=True,
+                                    return_predecessors=False)] = True
+    member_flag &= pub
 
-    # private nodes are isolated here, so each component with a public
-    # node is a public cluster
-    counts = np.bincount(comp[pub])
-    member_flag = comp == np.argmax(counts)
+    rest = pub & ~member_flag
+    sizes = np.array([np.count_nonzero(member_flag)])
+    if rest.any():
+        rest_indptr, rest_indices = _induced(g.indptr, g.indices, rest)
+        k = rest_indptr.size - 1
+        _, comp = connected_components(_csgraph(rest_indptr, rest_indices, k), directed=False)
+        sizes = np.append(sizes, np.bincount(comp))
+        # the smallest node of each cluster, the hub's first
+        rest_nodes = np.flatnonzero(rest)
+        first = np.append(np.argmax(member_flag), rest_nodes[np.unique(comp, return_index=True)[1]])
+        best = int(np.lexsort((first, -sizes))[0])
+        if best:
+            member_flag = np.zeros(n, dtype=bool)
+            member_flag[rest_nodes[comp == best - 1]] = True
     public_degree = np.where(member_flag, pub_deg, 0)
 
-    uniq, cnt = np.unique(counts[counts > 0], return_counts=True)
+    uniq, cnt = np.unique(sizes, return_counts=True)
     census = tuple(zip(uniq[::-1].tolist(), cnt[::-1].tolist()))
 
     return PublicClusterView(

@@ -19,7 +19,7 @@ import logging
 import warnings
 
 import numpy as np
-from .graph import LabeledGraph, _components, _csr_from_pairs, _restrict
+from .graph import LabeledGraph, _csr_from_pairs, largest_public_cluster
 from .walk import PubdegMode, WalkRecord
 
 log = logging.getLogger(__name__)
@@ -118,17 +118,20 @@ def load_edge_list(path) -> LabeledGraph:
                            return_inverse=True)
     src, dst = np.split(dense, 2)
     indptr, indices = _csr_from_pairs(np.minimum(src, dst), np.maximum(src, dst), ids.size)
-    del src, dst, dense  # freed before the graph derives its upper triangle
+    del src, dst, dense  # freed before the component search
     g = LabeledGraph(indptr, indices, np.zeros(ids.size, dtype=bool), orig_ids=ids)
 
-    n_comp, comp = _components(g.upper_indptr, g.upper_indices, ids.size)
-    if n_comp > 1:
-        keep = comp == np.argmax(np.bincount(comp))  # ties: the smallest label
-        indptr, indices = _restrict(g.indptr, g.indices, keep)
-        # renumber by dropping the emptied rows
-        indptr = indptr[np.append(keep, True)]
-        indices = (np.cumsum(keep) - 1)[indices]
-        g = LabeledGraph(indptr, indices, np.zeros(indptr.size - 1, dtype=bool), orig_ids=ids[keep])
+    # the graph is all-public: its public clusters are its components
+    view = largest_public_cluster(g)
+    if view.member_count < ids.size:
+        keep = view.member_flag  # ties: the component holding the smallest id
+        # a component's rows keep all their entries; renumber by dropping
+        # the other rows
+        indptr = np.zeros(view.member_count + 1, dtype=np.int64)
+        np.cumsum(g.degrees[keep], out=indptr[1:])
+        indices = (np.cumsum(keep) - 1)[g.indices[np.repeat(keep, g.degrees)]]
+        g = LabeledGraph(indptr, indices, np.zeros(view.member_count, dtype=bool),
+                         orig_ids=ids[keep])
     return g
 
 

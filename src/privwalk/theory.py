@@ -146,28 +146,23 @@ THEORY_COLUMNS = (
 )
 
 
-def theory_report_rows(
-    g: LabeledGraph,
-    p_values,
-    label_seed: int = 0,
-    view: PublicClusterView | None = None,
-) -> list[dict]:
+def theory_report_rows(g: LabeledGraph, p_values=None, label_seed: int = 0) -> list[dict]:
     """One row of closed-form expectations per privacy rate.
 
-    Query-cost columns depend on a realized labeling: with a fixed
-    ``view`` (real labels) they are computed from it for every row;
-    otherwise labels are drawn once per row with seed ``label_seed + i``.
+    Query-cost columns depend on a realized labeling: labels are drawn
+    once per row with seed ``label_seed + i``. With ``p_values`` None
+    there is one row, at the private fraction of the labels ``g``
+    carries, and its query costs come from those labels. A labeling that
+    leaves no usable public cluster gets NaN query costs.
     """
+    fixed = p_values is None
     rows = []
-    for i, p in enumerate(p_values):
+    for i, p in enumerate([g.private_fraction] if fixed else p_values):
         ee = expected_errors(g, p)
         q_exact = q_counter = float("nan")
         try:
-            v = view
-            if v is None:
-                gl = assign_labels_bernoulli(g, float(p), label_seed + i)
-                v = largest_public_cluster(gl)
-            q_exact, q_counter, _ = expected_query_ratios(v, g)
+            gl = g if fixed else assign_labels_bernoulli(g, float(p), label_seed + i)
+            q_exact, q_counter, _ = expected_query_ratios(largest_public_cluster(gl), g)
         except GraphError:
             pass  # labeling left no usable public cluster
         rows.append(

@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 
@@ -296,6 +297,29 @@ def test_cli_theory_matches_experiment_theory(tmp_path, medium_graph, labels):
     theory = (tmp_path / "out" / "theory.csv").read_bytes()
     assert (tmp_path / "cli.csv").read_bytes() == theory
     assert theory.count(b"\n") == (4 if labels == "bernoulli" else 2)
+
+
+def test_cli_file_labels_without_a_public_node_write_nan_query_costs(tmp_path):
+    from privwalk.cli import main
+
+    edges = tmp_path / "edges.txt"
+    edges.write_text("1 2\n2 3\n3 1\n3 4\n")
+    labels = tmp_path / "labels.txt"
+    labels.write_text("1 1\n2 1\n3 1\n4 1\n")
+    config = _write_config(
+        tmp_path,
+        f"dataset = {edges}\nlabels = file\nlabel_file = {labels}\n"
+        f"trials = 2\nsample_size = 3\noutdir = {tmp_path / 'out'}\n",
+    )
+    assert main(["experiment", str(config)]) == 0
+    with open(tmp_path / "out" / "nrmse.csv") as f:
+        assert {row["failed_trials"] for row in csv.DictReader(f)} == {"2"}
+    theory = (tmp_path / "out" / "theory.csv").read_text()
+    assert theory.splitlines()[1].split(",") == [
+        "1.0", "0.0", "0.0", "0.0", "2.0", "nan", "nan"]
+    cli = tmp_path / "cli.csv"
+    assert main(["theory", str(edges), "--label-file", str(labels), "--out", str(cli)]) == 0
+    assert cli.read_text() == theory
 
 
 def test_cli_and_experiment_share_the_walk_length_rule(tmp_path, capsys):

@@ -177,3 +177,33 @@ def test_star_cluster_degrees():
     view = largest_public_cluster(gl)
     assert view.member_count == 5
     assert view.public_degree[0] == 4
+
+
+def test_one_search_and_no_labeling_when_the_hub_cluster_holds_every_public_node(monkeypatch):
+    from privwalk import graph
+
+    all_public = build_graph(random_connected_edges(200, 400, seed=5), [False] * 200)
+    # the star's leaves 20..29 are private; every public node touches the hub
+    star = build_graph(star_edges(30), [False] * 20 + [True] * 10)
+    calls = {}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(graph, "breadth_first_order", counting("bfs", graph.breadth_first_order))
+    monkeypatch.setattr(
+        graph, "connected_components", counting("components", graph.connected_components)
+    )
+    for g in (all_public, star):
+        calls.update(bfs=0, components=0)
+        assert largest_public_cluster(g).member_count == g.node_count - g.private_count
+        assert calls == {"bfs": 1, "components": 0}
+    # public nodes the search leaves behind take one labeling call
+    fixture = build_graph(FIXTURE_EDGES, FIXTURE_PRIVATE)
+    calls.update(bfs=0, components=0)
+    assert largest_public_cluster(fixture).cluster_census == ((5, 1), (2, 1), (1, 1))
+    assert calls == {"bfs": 1, "components": 1}

@@ -1,6 +1,6 @@
-"""The CSR builders, the upper-triangle CSR, the component labelling and
-the public-cluster decomposition against their per-edge, two-sort,
-per-row, SciPy-undirected and flood-fill references, on random inputs."""
+"""The CSR builders, the edge pairs and the public-cluster decomposition
+against their per-edge, two-sort, per-row and flood-fill references, on
+random inputs and on fixed cases for each branch of the decomposition."""
 
 import tempfile
 from dataclasses import fields
@@ -10,8 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from graphgen import random_connected_edges
 from oracles import reference_build_graph, reference_edge_list, reference_public_cluster
@@ -25,7 +23,7 @@ from privwalk import (
     largest_public_cluster,
     load_edge_list,
 )
-from privwalk.graph import _components, _csr_from_pairs, _restrict, _upper_csr
+from privwalk.cli import main
 
 
 def _same_array(got, ref):
@@ -119,43 +117,6 @@ def test_load_edge_list_matches_two_sort_reference(pairs):
 
 
 @st.composite
-def symmetric_csrs(draw):
-    """A graph over ``0..n-1`` as the callers of ``_components`` make it:
-    random edges, then rows emptied by a restriction; many nodes isolated.
-
-    Returns ``n``, the full symmetric CSR and its upper triangle, the
-    latter built by ``_upper_csr`` and restricted by ``_restrict``.
-    """
-    n = draw(st.integers(2, 40))
-    node = st.integers(0, n - 1)
-    pairs = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
-                          min_size=1, max_size=2 * n))
-    lo, hi = np.sort(np.array(pairs, dtype=np.int64), axis=1).T
-    full = _csr_from_pairs(lo, hi, n)
-    upper = _upper_csr(full[1], np.diff(full[0]))
-    if draw(st.booleans()):
-        keep = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-        full = _restrict(*full, keep)
-        upper = _restrict(*upper, keep)
-    return n, full, upper
-
-
-@settings(max_examples=300, deadline=None, database=None)
-@given(symmetric_csrs())
-def test_components_match_scipy_undirected_numbering(case):
-    # largest_public_cluster and load_edge_list break size ties by this
-    # numbering: components in order of their smallest node
-    n, (indptr, indices), (upper_indptr, upper_indices) = case
-    adj = csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(n, n))
-    want_count, want = connected_components(adj, directed=False)
-    count, labels = _components(upper_indptr, upper_indices, n)
-    assert count == want_count
-    _same_array(labels, want)
-    first = np.unique(labels, return_index=True)[1]
-    assert np.all(np.diff(first) > 0)
-
-
-@st.composite
 def graphs(draw):
     """A graph from ``build_graph``, or from ``load_edge_list`` on a file
     of usually several components, then relabeled by ``with_labels`` or not."""
@@ -178,16 +139,22 @@ def graphs(draw):
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(graphs())
-def test_upper_csr_is_the_full_csr_above_the_diagonal(g):
+def test_edge_pairs_filter_the_full_csr_rows(g):
     rows = [g.neighbors(i) for i in range(g.node_count)]
-    upper = [row[row > i] for i, row in enumerate(rows)]
-    assert g.upper_indptr.dtype == g.upper_indices.dtype == np.int32
-    assert g.upper_indptr.tolist() == np.cumsum([0] + [u.size for u in upper]).tolist()
-    for i, want in enumerate(upper):
-        got = g.upper_indices[g.upper_indptr[i] : g.upper_indptr[i + 1]]
-        assert got.tolist() == want.tolist()
-        assert np.all(np.diff(got) > 0)
-    assert not (g.upper_indptr.flags.writeable or g.upper_indices.flags.writeable)
+    want_v = [row[row > i] for i, row in enumerate(rows)]
+    want_u = [np.full(v.size, i, dtype=np.int64) for i, v in enumerate(want_v)]
+    u, v = g.edge_pairs()
+    _same_array(u, np.concatenate(want_u))
+    _same_array(v, np.concatenate(want_v))
+    assert u.size == g.edge_count
+    # the dense ids of a connected graph load as themselves, so ingest
+    # writes the same pairs back
+    text = "".join(f"{a} {b}\n" for a, b in zip(u.tolist(), v.tolist()))
+    with tempfile.TemporaryDirectory() as tmp:
+        edges, out = Path(tmp) / "edges.txt", Path(tmp) / "out.txt"
+        edges.write_text(text)
+        assert main(["ingest", str(edges), "--out-edges", str(out)]) == 0
+        assert out.read_text() == text
 
 
 @st.composite
@@ -196,7 +163,7 @@ def labeled_graphs(draw):
     n = draw(st.integers(2, 40))
     extra = draw(st.integers(0, min(2 * n, (n - 1) * (n - 2) // 2)))
     edges = random_connected_edges(n, extra, seed=draw(st.integers(0, 2**32 - 1)))
-    p = draw(st.sampled_from((0.0, 0.3, 0.6, 0.9)))
+    p = draw(st.sampled_from((0.0, 0.3, 0.6, 0.9, 0.95)))
     g = assign_labels_bernoulli(build_graph(edges, [False] * n), p, draw(st.integers(0, 2**32 - 1)))
     return edges, g
 
@@ -211,6 +178,66 @@ def test_largest_public_cluster_matches_flood_fill_reference(case):
         return
     view = largest_public_cluster(g)
     ref = reference_public_cluster(edges, g.is_private.tolist())
+    for f in fields(PublicClusterView):
+        got, want = getattr(view, f.name), getattr(ref, f.name)
+        if isinstance(want, np.ndarray):
+            _same_array(got, want)
+        else:
+            assert type(got) is type(want) and got == want, f.name
+
+
+def _star(center, leaves):
+    return [(center, leaf) for leaf in leaves]
+
+
+def _path(nodes):
+    return list(zip(nodes, nodes[1:]))
+
+
+# edges and private nodes that steer largest_public_cluster down each of
+# its branches; the search starts from the node with most public neighbors
+BRANCH_CASES = {
+    # a private ring 5-6-7 cuts the star of hub 0 off from a 7-node path
+    "hub_cluster_is_not_the_largest": (
+        _star(0, [1, 2, 3, 4]) + [(1, 5), (5, 6), (6, 7), (7, 5), (6, 8)] + _path(range(8, 15)),
+        {5, 6, 7},
+    ),
+    # the star of hub 6 and the path 0..4 both have 5 nodes
+    "hub_cluster_ties_and_loses": (
+        _path(range(5)) + [(4, 5), (5, 7)] + _star(6, [7, 8, 9, 10]),
+        {5},
+    ),
+    "hub_cluster_ties_and_wins": (
+        _star(0, [1, 2, 3, 4]) + [(4, 5), (5, 6)] + _path(range(6, 11)),
+        {5},
+    ),
+    # the star of hub 11 has 4 nodes; two 5-node paths interleave their ids
+    "leftover_clusters_tie": (
+        _path([2, 4, 6, 8, 10]) + _path([1, 3, 5, 7, 9]) + _star(11, [12, 13, 14])
+        + [(0, 2), (0, 1), (0, 12)],
+        {0},
+    ),
+    # public nodes 5, 6 and 7 have only a private neighbor
+    "isolated_public_nodes": (
+        _star(0, [1, 2, 3]) + [(3, 4), (4, 5), (4, 6), (4, 7)],
+        {4},
+    ),
+    "every_node_private": (_path(range(4)), {0, 1, 2, 3}),
+}
+
+
+@pytest.mark.parametrize("name", BRANCH_CASES)
+def test_largest_public_cluster_branches_match_reference(name):
+    edges, private = BRANCH_CASES[name]
+    n = 1 + max(max(e) for e in edges)
+    labels = [v in private for v in range(n)]
+    g = build_graph(edges, labels)
+    if len(private) == n:
+        with pytest.raises(GraphError, match="no public node"):
+            largest_public_cluster(g)
+        return
+    view = largest_public_cluster(g)
+    ref = reference_public_cluster(edges, labels)
     for f in fields(PublicClusterView):
         got, want = getattr(view, f.name), getattr(ref, f.name)
         if isinstance(want, np.ndarray):

@@ -169,8 +169,9 @@ def test_report_rows_with_everything_private_yields_nan_queries():
 
 
 def test_report_rows_reuse_fixed_view(fixture_graph):
-    view = largest_public_cluster(fixture_graph)
-    rows = theory_report_rows(fixture_graph, [0.1, 0.9], view=view)
+    # without a grid, one row reads the labels the graph carries
+    rows = theory_report_rows(fixture_graph)
+    assert [row["p"] for row in rows] == [fixture_graph.private_fraction]
     for row in rows:
         assert row["expected_q_exact"] == pytest.approx(21 / 8)
         assert row["expected_q_counter"] == pytest.approx(9 / 8)
