@@ -40,13 +40,40 @@ def _check_rate(p: float, name: str = "privacy rate") -> None:
         raise GraphError(f"{name} must lie in [0, 1], got {p}")
 
 
+def _check_csr(indptr: np.ndarray, indices: np.ndarray, is_private: np.ndarray) -> np.ndarray:
+    """Raise :class:`GraphError` unless ``indptr``/``indices`` form a CSR over
+    ``0..n-1`` with one label per node; return the row degrees.
+
+    A walk reads these arrays without bounds checks, so a graph holds
+    only arrays that pass.
+    """
+    if indptr.ndim != 1 or indptr.size == 0 or indices.ndim != 1:
+        raise GraphError("CSR indptr and indices must be 1-D, indptr non-empty")
+    n = indptr.size - 1
+    if indptr[0] != 0:
+        raise GraphError(f"CSR indptr must start at 0, got {indptr[0]}")
+    degrees = np.diff(indptr)
+    if n and degrees.min() < 0:
+        raise GraphError(f"CSR indptr decreases after row {int(np.argmax(degrees < 0))}")
+    if indptr[-1] != indices.size:
+        raise GraphError(
+            f"CSR indptr ends at {indptr[-1]}, but indices holds {indices.size} entries")
+    if indices.size and not (0 <= indices.min() and indices.max() < n):
+        bad = indices[(indices < 0) | (indices >= n)][0]
+        raise GraphError(f"CSR index {bad} lies outside 0..{n - 1}")
+    if is_private.shape != (n,):
+        raise GraphError("label vector length does not match node count")
+    return degrees
+
+
 class LabeledGraph:
     """Undirected, connected, simple graph with per-node privacy labels.
 
     ``is_private[v]`` is True when node ``v`` hides its neighbor list.
     ``indptr``/``indices`` hold the full symmetric adjacency (see the
-    module docstring). Instances are immutable; relabeling returns a new
-    graph that shares every adjacency array.
+    module docstring). The constructor rejects a malformed CSR or label
+    vector with :class:`GraphError`. Instances are immutable; relabeling
+    returns a new graph that shares every adjacency array.
     """
 
     __slots__ = ("indptr", "indices", "degrees", "is_private", "orig_ids")
@@ -58,10 +85,14 @@ class LabeledGraph:
         is_private: np.ndarray,
         orig_ids: np.ndarray | None = None,
     ):
-        self.indptr = _freeze(np.asarray(indptr, dtype=np.int64))
-        self.indices = _freeze(np.asarray(indices))
-        self.degrees = _freeze(np.diff(self.indptr))
-        self.is_private = _freeze(np.asarray(is_private, dtype=bool))
+        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        indices = np.ascontiguousarray(indices, dtype=np.int64)
+        is_private = np.ascontiguousarray(is_private, dtype=bool)
+        degrees = _check_csr(indptr, indices, is_private)
+        self.indptr = _freeze(indptr)
+        self.indices = _freeze(indices)
+        self.degrees = _freeze(degrees)
+        self.is_private = _freeze(is_private)
         self.orig_ids = _freeze(np.asarray(orig_ids)) if orig_ids is not None else None
 
     # -- basic shape ---------------------------------------------------
@@ -93,8 +124,8 @@ class LabeledGraph:
     def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Every edge once, as arrays ``(u, v)`` with ``u < v``, ordered by ``u`` then ``v``.
 
-        Row ``u`` of the CSR keeps its entries above the diagonal; ``u`` is
-        int64 and ``v`` has the dtype of ``indices``.
+        Row ``u`` of the CSR keeps its entries above the diagonal; both are
+        int64.
         """
         u = np.repeat(np.arange(self.node_count), self.degrees)
         above = self.indices > u
@@ -112,7 +143,7 @@ class LabeledGraph:
 
     def with_labels(self, is_private: np.ndarray) -> "LabeledGraph":
         """New graph that shares this one's adjacency arrays, with new privacy labels."""
-        is_private = np.asarray(is_private, dtype=bool)
+        is_private = np.ascontiguousarray(is_private, dtype=bool)
         if is_private.shape != (self.node_count,):
             raise GraphError("label vector length does not match node count")
         g = copy.copy(self)

@@ -13,25 +13,39 @@ approximate mode the public degree of a sampled node is estimated as
 exhaustively.
 
 The walk itself is one tight loop over the CSR arrays that records
-every neighbor selection and nothing else. One NumPy pass over that
-record derives the node sequence, the tries per sample, the degrees and
-the selection counters once, then each requested mode's public degrees
-and query ledger. They take the same values, under the same query
-conventions, as charging each query as it happens; ``tests/oracles.py``
-holds that query-by-query reference, which defines the conventions and
-against which the tests hold this walk.
+every neighbor selection and nothing else. It has two runners: a small C
+function (``_select.c``), built with the system compiler on first use
+and called once per block of uniforms, and a pure-Python loop that runs
+when no compiler is found or the build fails. Both read the same
+uniforms and pick the same neighbors, so their selections are identical
+bit for bit. One NumPy pass over that record derives the node sequence,
+the tries per sample, the degrees and the selection counters once, then
+each requested mode's public degrees and query ledger. They take the
+same values, under the same query conventions, as charging each query
+as it happens; ``tests/oracles.py`` holds that query-by-query reference,
+which defines the conventions and against which the tests hold this
+walk.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import logging
+import shutil
+import subprocess
+import tempfile
 from array import array
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from .graph import GraphError, LabeledGraph, PublicClusterView, largest_public_cluster
+
+log = logging.getLogger(__name__)
 
 
 class AccessModel(Enum):
@@ -308,8 +322,16 @@ def _select(g: LabeledGraph, seed_node: int, r: int, rng_seed) -> np.ndarray:
     makes its selections too. Draw ``i`` picks neighbor
     ``int(u_i * degree)``, with ``u_i`` read from the generator in blocks
     of ``_RAND_BLOCK`` uniforms.
+
+    The compiled loop of :func:`_kernel` makes the selections, one call
+    per block; the Python loop below runs only when it cannot be built.
+    Both take the same uniforms and compute each pick in double
+    precision, so the two runners return the same array for every seed.
     """
     rng = np.random.default_rng(rng_seed)
+    kernel = _kernel()
+    if kernel is not None:
+        return _select_blocks(kernel, g, seed_node, r, rng)
     indptr = memoryview(g.indptr)
     indices = memoryview(g.indices)
     private = g.is_private.tobytes()
@@ -331,6 +353,58 @@ def _select(g: LabeledGraph, seed_node: int, r: int, rng_seed) -> np.ndarray:
             if not private[cur]:
                 break
     return np.frombuffer(probes, dtype=np.int64)
+
+
+def _select_blocks(kernel, g: LabeledGraph, seed_node: int, r: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """:func:`_select` through the compiled loop, which reads the graph's
+    arrays in place and writes into one growing buffer."""
+    u = np.empty(_RAND_BLOCK)
+    state = np.array([seed_node, 0], dtype=np.int64)  # node walked from, samples done
+    out = np.empty(r + _RAND_BLOCK, dtype=np.int64)  # each sample selects at least once
+    args = (g.indptr.ctypes.data, g.indices.ctypes.data, g.indices.size,
+            g.is_private.ctypes.data, u.ctypes.data, _RAND_BLOCK, r, state.ctypes.data)
+    n = 0
+    while state[1] < r:
+        if out.size - n < _RAND_BLOCK:  # a block writes at most one selection per uniform
+            grown = np.empty(2 * out.size, dtype=np.int64)
+            grown[:n] = out[:n]
+            out = grown
+        rng.random(out=u)
+        k = kernel(*args, out[n:].ctypes.data)
+        if k < 0:  # the Python loop's memoryview raises here too
+            raise IndexError("neighbor selection past the end of the CSR indices")
+        n += k
+    return out[:n]
+
+
+@functools.cache
+def _kernel():
+    """The compiled selection loop of ``_select.c``, or None when it cannot be built.
+
+    The library is built once per process, on first use, with the system
+    C compiler into a private temporary directory, which is deleted as
+    soon as the library is loaded.
+    """
+    cc = shutil.which("cc")
+    if cc is None:
+        log.debug("no C compiler found; walks run the Python selection loop")
+        return None
+    source = Path(__file__).with_name("_select.c")
+    with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
+        lib = Path(tmp, "_select.so")
+        try:
+            subprocess.run([cc, "-O2", "-shared", "-fPIC", "-o", str(lib), str(source)],
+                           check=True, capture_output=True)
+            fn = ctypes.CDLL(str(lib)).privwalk_select
+        except (OSError, subprocess.SubprocessError) as e:
+            log.debug("cannot build %s (%s); walks run the Python selection loop", source, e)
+            return None
+    fn.restype = ctypes.c_int64
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                   ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+                   ctypes.c_void_p]
+    return fn
 
 
 def _charge(

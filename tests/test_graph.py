@@ -13,6 +13,7 @@ from oracles import flood_fill_public_clusters
 from privwalk import (
     ExperimentConfig,
     GraphError,
+    LabeledGraph,
     assign_labels_bernoulli,
     build_graph,
     expected_errors,
@@ -207,3 +208,37 @@ def test_one_search_and_no_labeling_when_the_hub_cluster_holds_every_public_node
     calls.update(bfs=0, components=0)
     assert largest_public_cluster(fixture).cluster_census == ((5, 1), (2, 1), (1, 1))
     assert calls == {"bfs": 1, "components": 1}
+
+
+@pytest.mark.parametrize(
+    "indptr, indices, labels, message",
+    [
+        ([1, 2, 4], [1, 0, 1], 2, "start at 0"),
+        ([0, 2, 1, 3], [1, 2, 0], 3, "decreases after row 1"),
+        ([0, 1, 2], [1, 0, 0], 2, "ends at 2, but indices holds 3"),
+        ([0, 1, 3], [1], 2, "ends at 3, but indices holds 1"),
+        ([0, 1, 2], [2, 0], 2, "index 2 lies outside 0..1"),
+        ([0, 1, 2], [1, -1], 2, "index -1 lies outside 0..1"),
+        ([0, 1, 2], [1, 0], 3, "label vector length"),
+        ([[0, 1, 2]], [1, 0], 2, "1-D"),
+    ],
+    ids=["first_not_zero", "decreasing", "last_too_small", "last_too_large", "index_too_large",
+         "negative_index", "label_length", "two_dimensional"],
+)
+def test_labeled_graph_rejects_a_malformed_csr(indptr, indices, labels, message):
+    # the walk reads the CSR without bounds checks, so the constructor guards it
+    with pytest.raises(GraphError, match=message):
+        LabeledGraph(np.array(indptr), np.array(indices), np.zeros(labels, dtype=bool))
+
+
+def test_labeled_graph_stores_contiguous_int64_arrays():
+    indices = np.array([1, 0, 2, 1, 9, 9], dtype=np.int32)[:4]
+    labels = np.array([True, False, False, True, False, True])[::2]
+    g = LabeledGraph([0, 1, 3, 4], indices, labels)
+    for a in (g.indptr, g.indices, g.is_private):
+        assert a.flags.c_contiguous and not a.flags.writeable
+    assert g.indices.dtype == g.indptr.dtype == np.int64
+    assert g.indices.tolist() == [1, 0, 2, 1]
+    assert g.is_private.tolist() == [True, False, False]
+    with pytest.raises(GraphError, match="label vector length"):
+        g.with_labels([False, True])

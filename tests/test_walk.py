@@ -1,3 +1,6 @@
+import logging
+import shutil
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from oracles import power_iteration_stationary, walk_transition_matrix
 from privwalk import (
     AccessModel,
     GraphError,
+    LabeledGraph,
     PubdegMode,
     StuckWalkError,
     assign_labels_bernoulli,
@@ -16,6 +20,7 @@ from privwalk import (
     run_walk,
     stationary_distribution,
 )
+from privwalk import walk
 
 MODES = (PubdegMode.EXACT_IDEAL, PubdegMode.EXACT_HIDDEN, PubdegMode.APPROX_HIDDEN)
 
@@ -185,3 +190,60 @@ def test_samples_iterator(fixture_graph):
     assert len(rows) == 10
     v, d, ds = rows[0]
     assert v == 4 and d == 4 and ds == 4.0
+
+
+def _block_crossing_walk():
+    """Arguments of a ``_select`` call whose selections span two uniform blocks."""
+    g = assign_labels_bernoulli(build_graph(random_connected_edges(100, 250, seed=41),
+                                            [False] * 100), 0.3, 5)
+    seed_node = int(largest_public_cluster(g).members[0])
+    return g, seed_node, 20_000, 7
+
+
+def test_the_compiled_loop_is_built_wherever_a_compiler_is_found():
+    # a silent fallback would keep every output and lose the speed
+    assert shutil.which("cc") is None or walk._kernel() is not None
+
+
+# a `cc` script on an otherwise empty PATH, and what the one debug line names
+FAKE_COMPILERS = {
+    "no_compiler": (None, "no C compiler found"),
+    "compiler_fails": ("#!/bin/sh\nexit 1\n", "non-zero exit status 1"),
+    "library_does_not_load": (
+        '#!/bin/sh\nwhile [ $# -gt 0 ]; do [ "$1" = -o ] && echo junk > "$2"; shift; done\n',
+        "_select.so: ",
+    ),
+}
+
+
+@pytest.mark.parametrize("script, cause", FAKE_COMPILERS.values(), ids=FAKE_COMPILERS)
+def test_a_failed_build_falls_back_to_the_python_loop(tmp_path, monkeypatch, caplog, script,
+                                                      cause):
+    args = _block_crossing_walk()
+    want = walk._select(*args)
+    if script is not None:
+        cc = tmp_path / "cc"
+        cc.write_text(script)
+        cc.chmod(0o755)
+    monkeypatch.setenv("PATH", str(tmp_path))
+    caplog.set_level(logging.DEBUG, logger=walk.__name__)
+    walk._kernel.cache_clear()
+    try:  # pyproject.toml turns any warning into an error
+        assert walk._kernel() is None
+        got = walk._select(*args)
+    finally:
+        walk._kernel.cache_clear()  # the next call builds with the real PATH
+    assert np.array_equal(got, want)
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG and cause in record.getMessage()
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+def test_a_pick_past_the_csr_end_raises_in_both_runners(monkeypatch, compiled):
+    # 1 -> 2 has no way back and row 2, the last, is empty: a pick from 2
+    # would read past indices, which the compiled loop refuses as Python does
+    g = LabeledGraph([0, 1, 3, 3], [1, 0, 2], np.zeros(3, dtype=bool))
+    if not compiled:
+        monkeypatch.setattr(walk, "_kernel", lambda: None)
+    with pytest.raises(IndexError):
+        walk._select(g, 0, 100, 0)

@@ -1,5 +1,8 @@
 """The lean walk against the facade-driven reference walk, on random inputs."""
 
+from contextlib import nullcontext
+from unittest import mock
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -16,7 +19,14 @@ from privwalk import (
     largest_public_cluster,
     run_walk,
 )
+from privwalk import walk
 from privwalk.walk import _record, _selections
+
+# the compiled selection loop, and the Python loop it falls back to
+RUNNERS = {
+    "compiled": nullcontext,
+    "python": lambda: mock.patch.object(walk, "_kernel", lambda: None),
+}
 
 
 @st.composite
@@ -59,12 +69,13 @@ def _ledger(case):
 
 @settings(max_examples=60, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(walk_cases())
-def test_walk_matches_facade_reference(case):
+@given(walk_cases(), st.sampled_from(sorted(RUNNERS)))
+def test_walk_matches_facade_reference(case, runner):
     mode = case["mode"]
     args = (case["g"], mode.access_model, case["seed_node"], case["r"], mode, case["rng_seed"])
-    got = run_walk(*args, _ledger(case), view=case["view"],
-                   count_visit_queries=case["count_visit_queries"])
+    with RUNNERS[runner]():
+        got = run_walk(*args, _ledger(case), view=case["view"],
+                       count_visit_queries=case["count_visit_queries"])
     ref = reference_walk(*args, _ledger(case), count_visit_queries=case["count_visit_queries"])
 
     assert np.array_equal(got.nodes, ref.nodes)
