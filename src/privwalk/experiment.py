@@ -63,8 +63,7 @@ class ExperimentConfig:
     """One run's settings; construction rejects what a config file may not hold."""
 
     dataset: str
-    labels: str = "bernoulli"  # "bernoulli" or "file"
-    label_file: str | None = None
+    label_file: str | None = None  # fixed labels; otherwise redrawn per trial on p_grid
     p_grid: tuple[float, ...] = (0.0,)
     model: AccessModel = AccessModel.HIDDEN
     pubdeg_mode: PubdegMode = PubdegMode.APPROX_HIDDEN
@@ -80,12 +79,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.labels not in ("bernoulli", "file"):
-            raise ValueError("labels must be 'bernoulli' or 'file'")
-        if self.labels == "file" and not self.label_file:
-            raise ValueError("labels = file requires label_file")
-        if self.labels != "file" and self.label_file:
-            raise ValueError("label_file requires labels = file")
+        if self.label_file == "":
+            raise ValueError("label_file is empty")
         if self.nrmse_target not in ("estimates", "convergence"):
             raise ValueError("nrmse_target must be 'estimates' or 'convergence'")
         _check_at_least("trials", self.trials, 1)
@@ -165,7 +160,6 @@ def _one_of(enum) -> str:
 # without the text reports its parser's own message
 _CONFIG_KEYS = {
     "dataset": ("dataset", str, None),
-    "labels": ("labels", str, None),
     "label_file": ("label_file", str, None),
     "p_grid": ("p_grid", _parse_floats, None),
     "model": ("model", AccessModel, _one_of(AccessModel)),
@@ -199,6 +193,9 @@ def load_config(path) -> ExperimentConfig:
     unknown = sorted(raw.keys() - _CONFIG_KEYS.keys())
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    for key, other in (("sample_size", "sample_fraction"), ("label_file", "p_grid")):
+        if key in raw and other in raw:
+            raise ValueError(f"{path}: {key} excludes {other}")
     kwargs = {}
     for key, (token, _) in raw.items():
         name, parse, expected = _CONFIG_KEYS[key]
@@ -222,7 +219,7 @@ def _sizes(cfg: ExperimentConfig, n: int) -> tuple[int, ...]:
 
 def _load_graph(cfg: ExperimentConfig) -> LabeledGraph:
     g = load_edge_list(cfg.dataset)
-    if cfg.labels == "file":
+    if cfg.label_file:
         g = load_labels(cfg.label_file, g)
     return g
 
@@ -248,7 +245,7 @@ def _run_cells(g: LabeledGraph, cfg: ExperimentConfig, trial) -> list[tuple]:
     ``workers > 1`` one pool of at most ``os.cpu_count()`` processes
     serves every trial of the run, so the graph is sent to each worker once.
     """
-    p_cells: list[float | None] = [None] if cfg.labels == "file" else list(cfg.p_grid)
+    p_cells: list[float | None] = [None] if cfg.label_file else list(cfg.p_grid)
     tasks = [(p, cfg.base_seed + t) for p in p_cells for t in range(cfg.trials)]
     if cfg.workers <= 1:
         outcomes = [trial(g, cfg, p, seed) for p, seed in tasks]
@@ -347,7 +344,7 @@ def run_experiment(cfg: ExperimentConfig, graph: LabeledGraph | None = None) -> 
     os.makedirs(cfg.outdir, exist_ok=True)
     header = [f.name for f in fields(NrmseRow)]
     _write_csv(os.path.join(cfg.outdir, "nrmse.csv"), header, [astuple(row) for row in rows])
-    p_grid = None if cfg.labels == "file" else cfg.p_grid
+    p_grid = None if cfg.label_file else cfg.p_grid
     _write_theory(os.path.join(cfg.outdir, "theory.csv"), g, p_grid, cfg.base_seed)
     return rows
 

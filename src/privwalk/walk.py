@@ -12,19 +12,19 @@ approximate mode the public degree of a sampled node is estimated as
 ``degree * a / b`` without ever querying the neighborhood's labels
 exhaustively.
 
-The walk itself is one tight loop over the CSR arrays that records
-every neighbor selection and nothing else. It has two runners: a small C
-function (``_select.c``), built with the system compiler on first use
-and called once per block of uniforms, and a pure-Python loop that runs
-when no compiler is found or the build fails. Both read the same
-uniforms and pick the same neighbors, so their selections are identical
-bit for bit. One NumPy pass over that record derives the node sequence,
-the tries per sample, the degrees and the selection counters once, then
-each requested mode's public degrees and query ledger. They take the
-same values, under the same query conventions, as charging each query
-as it happens; ``tests/oracles.py`` holds that query-by-query reference,
-which defines the conventions and against which the tests hold this
-walk.
+The walk itself is one block loop over the CSR arrays that records
+every neighbor selection and nothing else. Each block of uniforms goes
+to one step: a small C function (``_select.c``), built with the system
+compiler on first use, or its line-for-line Python twin when no compiler
+is found or the build fails. Both pick the same neighbors, so their
+selections are identical bit for bit, and both stop at a node without
+neighbors, where the walk raises. One NumPy pass over that record
+derives the node sequence, the tries per sample, the degrees and the
+selection counters once, then each requested mode's public degrees and
+query ledger. They take the same values, under the same query
+conventions, as charging each query as it happens; ``tests/oracles.py``
+holds that query-by-query reference, which defines the conventions and
+against which the tests hold this walk.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from __future__ import annotations
 import ctypes
 import functools
 import logging
+import operator
 import shutil
 import subprocess
 import tempfile
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -321,49 +321,24 @@ def _select(g: LabeledGraph, seed_node: int, r: int, rng_seed) -> np.ndarray:
     until a public one is hit; it becomes the next node. The final sample
     makes its selections too. Draw ``i`` picks neighbor
     ``int(u_i * degree)``, with ``u_i`` read from the generator in blocks
-    of ``_RAND_BLOCK`` uniforms.
+    of ``_RAND_BLOCK`` uniforms. Raises IndexError naming the node when
+    the walk must select from a node without neighbors.
 
-    The compiled loop of :func:`_kernel` makes the selections, one call
-    per block; the Python loop below runs only when it cannot be built.
-    Both take the same uniforms and compute each pick in double
-    precision, so the two runners return the same array for every seed.
+    Each block goes to one step: the compiled loop of :func:`_kernel`, or
+    its Python twin :func:`_select_block` when that cannot be built. Both
+    take the same uniforms and compute each pick in double precision, so
+    the two runners return the same array for every seed.
     """
     rng = np.random.default_rng(rng_seed)
-    kernel = _kernel()
-    if kernel is not None:
-        return _select_blocks(kernel, g, seed_node, r, rng)
-    indptr = memoryview(g.indptr)
-    indices = memoryview(g.indices)
-    private = g.is_private.tobytes()
-    buf = memoryview(rng.random(_RAND_BLOCK))
-    bi = 0
-    probes = array("q")
-    push = probes.append
-    cur = seed_node
-    for _ in range(r):
-        lo = indptr[cur]
-        deg = indptr[cur + 1] - lo
-        while True:
-            if bi == _RAND_BLOCK:
-                buf = memoryview(rng.random(_RAND_BLOCK))
-                bi = 0
-            cur = indices[lo + int(buf[bi] * deg)]
-            bi += 1
-            push(cur)
-            if not private[cur]:
-                break
-    return np.frombuffer(probes, dtype=np.int64)
-
-
-def _select_blocks(kernel, g: LabeledGraph, seed_node: int, r: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """:func:`_select` through the compiled loop, which reads the graph's
-    arrays in place and writes into one growing buffer."""
+    step = _kernel()
+    if step is None:  # the Python twin indexes the arrays through their buffers
+        step, ref = _select_block, memoryview
+    else:  # the compiled step takes their addresses
+        ref = operator.attrgetter("ctypes.data")
     u = np.empty(_RAND_BLOCK)
     state = np.array([seed_node, 0], dtype=np.int64)  # node walked from, samples done
+    fixed = (ref(g.indptr), ref(g.indices), ref(g.is_private), ref(u), _RAND_BLOCK, r, ref(state))
     out = np.empty(r + _RAND_BLOCK, dtype=np.int64)  # each sample selects at least once
-    args = (g.indptr.ctypes.data, g.indices.ctypes.data, g.indices.size,
-            g.is_private.ctypes.data, u.ctypes.data, _RAND_BLOCK, r, state.ctypes.data)
     n = 0
     while state[1] < r:
         if out.size - n < _RAND_BLOCK:  # a block writes at most one selection per uniform
@@ -371,16 +346,35 @@ def _select_blocks(kernel, g: LabeledGraph, seed_node: int, r: int,
             grown[:n] = out[:n]
             out = grown
         rng.random(out=u)
-        k = kernel(*args, out[n:].ctypes.data)
-        if k < 0:  # the Python loop's memoryview raises here too
-            raise IndexError("neighbor selection past the end of the CSR indices")
+        k = step(*fixed, ref(out[n:]))
+        if k < 0:
+            raise IndexError(f"node {state[0]} has no neighbor to select")
         n += k
     return out[:n]
 
 
+def _select_block(indptr, indices, is_private, u, nu, r, state, out) -> int:
+    """``privwalk_select`` of ``_select.c``, line for line, on buffers."""
+    at, done, k = state[0], state[1], 0
+    lo = indptr[at]
+    deg = indptr[at + 1] - lo
+    while deg > 0 and done < r and k < nu:
+        v = indices[lo + int(u[k] * deg)]
+        out[k] = v
+        k += 1
+        if not is_private[v]:
+            at = v
+            done += 1
+            lo = indptr[at]
+            deg = indptr[at + 1] - lo
+    state[0] = at
+    state[1] = done
+    return -1 if deg == 0 and done < r else k
+
+
 @functools.cache
 def _kernel():
-    """The compiled selection loop of ``_select.c``, or None when it cannot be built.
+    """The compiled selection step of ``_select.c``, or None when it cannot be built.
 
     The library is built once per process, on first use, with the system
     C compiler into a private temporary directory, which is deleted as
@@ -388,7 +382,7 @@ def _kernel():
     """
     cc = shutil.which("cc")
     if cc is None:
-        log.debug("no C compiler found; walks run the Python selection loop")
+        log.debug("no C compiler found; walks run the Python selection step")
         return None
     source = Path(__file__).with_name("_select.c")
     with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
@@ -398,12 +392,11 @@ def _kernel():
                            check=True, capture_output=True)
             fn = ctypes.CDLL(str(lib)).privwalk_select
         except (OSError, subprocess.SubprocessError) as e:
-            log.debug("cannot build %s (%s); walks run the Python selection loop", source, e)
+            log.debug("cannot build %s (%s); walks run the Python selection step", source, e)
             return None
     fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-                   ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
-                   ctypes.c_void_p]
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                   ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
     return fn
 
 

@@ -545,7 +545,7 @@ def _grid(cfg, n: int):
         sizes = cfg.sample_sizes
     else:
         sizes = tuple(max(2, int(round(f * n))) for f in cfg.sample_fractions)
-    return ([None] if cfg.labels == "file" else list(cfg.p_grid)), sizes
+    return ([None] if cfg.label_file else list(cfg.p_grid)), sizes
 
 
 def reference_run_experiment(cfg, graph) -> list[NrmseRow]:

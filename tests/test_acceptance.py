@@ -403,7 +403,6 @@ def test_criterion_11_nrmse_improvement_full_scale(tmp_path):
     g = load_labels(_data_file("pokec-labels.txt"), g, strict=False)
     cfg = ExperimentConfig(
         dataset="in-memory",
-        labels="file",
         label_file="preloaded",
         model=AccessModel.IDEAL,
         pubdeg_mode=PubdegMode.EXACT_IDEAL,

@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from privwalk import (
     run_experiment,
     save_labels,
 )
+from privwalk.experiment import _CONFIG_KEYS
 
 
 @pytest.fixture(scope="module")
@@ -73,13 +75,27 @@ def test_load_config_defaults_and_sample_sizes(tmp_path):
     assert not cfg.census_memoize
 
 
+def test_readme_config_table_lists_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Experiment config\n", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+    assert len(documented) == len(set(documented))
+    assert set(documented) == set(_CONFIG_KEYS)
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ValueError, match="dataset"):
         load_config(_write_config(tmp_path, "trials = 3\n"))
     with pytest.raises(ValueError, match="unknown config keys"):
         load_config(_write_config(tmp_path, "dataset = g\nwhatever = 1\n"))
-    with pytest.raises(ValueError, match="label_file"):
-        load_config(_write_config(tmp_path, "dataset = g\nlabels = file\n"))
+    with pytest.raises(ValueError, match="unknown config keys: labels$"):
+        load_config(_write_config(tmp_path, "dataset = g\nlabels = file\nlabel_file = l\n"))
+    # each pair would otherwise drop its second key without a word
+    with pytest.raises(ValueError, match="sample_size excludes sample_fraction$"):
+        load_config(_write_config(tmp_path, "dataset = g\nsample_fraction = 0.5\n"
+                                            "sample_size = 30\n"))
+    with pytest.raises(ValueError, match="label_file excludes p_grid$"):
+        load_config(_write_config(tmp_path, "dataset = g\nlabel_file = l\np_grid = 0.1, 0.2\n"))
     with pytest.raises(ValueError, match="true/false"):
         load_config(_write_config(tmp_path, "dataset = g\ncount_visit_queries = maybe\n"))
     with pytest.raises(ValueError, match="key = value"):
@@ -109,6 +125,7 @@ def test_load_config_errors(tmp_path):
          "pubdeg_mode: expected one of exact_ideal, exact_hidden, approx_hidden, got 'aprox'"),
         ("trials = 3\ntrials = 4", "line 3: key trials already set at line 2"),
         ("base_seed = -1", "base_seed must be at least 0, got -1"),
+        ("label_file =", "label_file is empty"),
     ],
 )
 def test_load_config_rejects_out_of_range_values(tmp_path, line, message):
@@ -130,9 +147,6 @@ def test_load_config_rejects_out_of_range_values(tmp_path, line, message):
         (dict(p_grid=()), "p_grid is empty"),
         (dict(sample_fractions=None, sample_sizes=()), "no walk length"),
         (dict(nrmse_target="bogus"), "nrmse_target must be 'estimates' or 'convergence'"),
-        (dict(labels="fiel"), "labels must be 'bernoulli' or 'file'"),
-        (dict(labels="file"), "labels = file requires label_file"),
-        (dict(labels="bernoulli", label_file="labels.txt"), "label_file requires labels = file"),
         (dict(model=AccessModel.IDEAL, pubdeg_mode=PubdegMode.APPROX_HIDDEN),
          "pubdeg_mode = approx_hidden requires model = hidden, got model = ideal"),
     ],
@@ -286,7 +300,7 @@ def test_cli_theory_matches_experiment_theory(tmp_path, medium_graph, labels):
     dataset, label_file = tmp_path / "edges.txt", tmp_path / "labels.txt"
     write_edge_file(dataset, zip(*medium_graph.edge_pairs()))
     save_labels(assign_labels_bernoulli(medium_graph, 0.2, 8), label_file)
-    cfg = _cfg(tmp_path, dataset=str(dataset), labels=labels,
+    cfg = _cfg(tmp_path, dataset=str(dataset),
                label_file=str(label_file) if labels == "file" else None,
                p_grid=(0.0, 0.1, 0.25), base_seed=7, trials=1, sample_sizes=(50,))
     run_experiment(cfg)
@@ -308,7 +322,7 @@ def test_cli_file_labels_without_a_public_node_write_nan_query_costs(tmp_path):
     labels.write_text("1 1\n2 1\n3 1\n4 1\n")
     config = _write_config(
         tmp_path,
-        f"dataset = {edges}\nlabels = file\nlabel_file = {labels}\n"
+        f"dataset = {edges}\nlabel_file = {labels}\n"
         f"trials = 2\nsample_size = 3\noutdir = {tmp_path / 'out'}\n",
     )
     assert main(["experiment", str(config)]) == 0
@@ -491,9 +505,9 @@ def _census_graph(name, medium_graph):
         ("medium", dict(p_grid=(0.2, 0.3), sample_sizes=(150, 300)), "all"),
         ("medium", dict(p_grid=(0.3,), census_memoize=True), "all"),
         ("medium", dict(p_grid=(0.3,), count_visit_queries=True), "all"),
-        ("labeled", dict(labels="file", label_file="unused"), "all"),
+        ("labeled", dict(label_file="unused"), "all"),
         ("medium", dict(p_grid=(1.0,)), "none"),
-        ("lonely", dict(labels="file", label_file="unused", sample_sizes=(5,)), "none"),
+        ("lonely", dict(label_file="unused", sample_sizes=(5,)), "none"),
         ("star", dict(p_grid=(0.5,), sample_sizes=(20,), trials=16), "some"),
     ],
     ids=["grid_2x2", "memoize", "visit_queries", "file_labels", "all_private", "stuck", "mixed"],
@@ -541,9 +555,9 @@ def test_census_walks_once_per_trial(tmp_path, medium_graph, monkeypatch):
                         pubdeg_mode=PubdegMode.EXACT_HIDDEN)),
         ("medium", dict(p_grid=(0.3,), sample_sizes=(80, 200), model=AccessModel.IDEAL,
                         pubdeg_mode=PubdegMode.EXACT_IDEAL)),
-        ("labeled", dict(labels="file", label_file="unused", sample_sizes=(300, 100))),
+        ("labeled", dict(label_file="unused", sample_sizes=(300, 100))),
         ("medium", dict(p_grid=(1.0,), sample_sizes=(50, 20))),
-        ("lonely", dict(labels="file", label_file="unused", sample_sizes=(5, 3))),
+        ("lonely", dict(label_file="unused", sample_sizes=(5, 3))),
         ("star", dict(p_grid=(0.5,), sample_sizes=(20, 2), trials=16)),
         ("medium", dict(p_grid=(0.2, 0.3), sample_sizes=(150, 60), workers=2)),
     ],
@@ -592,11 +606,11 @@ def test_drivers_walk_and_decompose_once_per_trial_seed(tmp_path, medium_graph, 
 
 
 def test_file_labels_pin_the_labeling(tmp_path, medium_graph):
-    # labels = file runs every trial on the same labeling: only walk noise
+    # a label file runs every trial on the same labeling: only walk noise
     from privwalk import assign_labels_bernoulli
 
     gl = assign_labels_bernoulli(medium_graph, 0.2, 77)
-    cfg = _cfg(tmp_path, labels="file", label_file="unused", trials=6)
+    cfg = _cfg(tmp_path, label_file="unused", trials=6)
     rows = run_experiment(cfg, graph=gl)
     assert all(row.p == pytest.approx(gl.private_fraction) for row in rows)
     assert all(row.failed_trials == 0 for row in rows)

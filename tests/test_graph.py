@@ -69,6 +69,8 @@ def test_build_graph_duplicate_and_self_loop_policy():
 def test_labels_from_strings():
     g = build_graph([(0, 1), (1, 2)], ["public", "private", "public"])
     assert list(g.is_private) == [False, True, False]
+    with pytest.raises(GraphError, match="^unknown label 'Private' at node 1$"):
+        build_graph([(0, 1), (1, 2)], ["public", "Private", "public"])
 
 
 def test_bernoulli_extremes_are_exact():

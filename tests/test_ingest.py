@@ -168,6 +168,13 @@ def test_label_tokens_and_strictness(tmp_path):
     with pytest.raises(IngestError, match="line 1"):
         load_labels(bad, g, strict=False)
 
+    for text, message in (("0 1\n1 0 7\n", "line 2: expected 'id flag', got '1 0 7'"),
+                          ("0 1\n1\n", "line 2: expected 'id flag', got '1'"),
+                          ("0 1\nx1 0\n", "line 2: non-integer id 'x1'")):
+        f = _write(tmp_path / "bad.txt", text)
+        with pytest.raises(IngestError, match=f"^{re.escape(f'{f}: {message}')}$"):
+            load_labels(f, g, strict=False)
+
 
 def test_repeated_label_ids(tmp_path, caplog):
     g = load_edge_list(_write(tmp_path / "e.txt", "0 1\n1 2\n"))

@@ -77,6 +77,8 @@ def test_moments_match_exhaustive_enumeration():
             ref_mean, ref_second = enumerate_public_count_moments(d, p)
             assert mean == pytest.approx(ref_mean, abs=1e-12)
             assert second == pytest.approx(ref_second, abs=1e-12)
+    with pytest.raises(ValueError, match="^degree must be non-negative$"):
+        public_count_moments(-1, 0.2)
 
 
 def test_expected_errors_bounds_and_extremes():

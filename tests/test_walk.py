@@ -120,6 +120,15 @@ def test_stationary_distribution_matches_power_iteration():
     assert np.allclose(pi[view.members], ref, atol=1e-9)
 
 
+def test_stationary_distribution_needs_a_cluster_edge():
+    # every public node is alone between private ones
+    g = build_graph(path_edges(3), [False, True, False])
+    view = largest_public_cluster(g)
+    assert view.public_degree_sum == 0
+    with pytest.raises(ValueError, match="^cluster has no internal edge"):
+        stationary_distribution(view)
+
+
 def test_long_walk_visits_match_stationary_weights():
     g = build_graph(random_connected_edges(30, 45, seed=8), [False] * 30)
     gl = assign_labels_bernoulli(g, 0.25, 2)
@@ -241,9 +250,21 @@ def test_a_failed_build_falls_back_to_the_python_loop(tmp_path, monkeypatch, cap
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
 def test_a_pick_past_the_csr_end_raises_in_both_runners(monkeypatch, compiled):
     # 1 -> 2 has no way back and row 2, the last, is empty: a pick from 2
-    # would read past indices, which the compiled loop refuses as Python does
+    # would read past indices, which both steps refuse
     g = LabeledGraph([0, 1, 3, 3], [1, 0, 2], np.zeros(3, dtype=bool))
     if not compiled:
         monkeypatch.setattr(walk, "_kernel", lambda: None)
     with pytest.raises(IndexError):
         walk._select(g, 0, 100, 0)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+def test_an_empty_row_stops_the_walk_in_both_runners(monkeypatch, compiled):
+    # row 2 is empty but not last: a pick from 2 would read row 3's entry
+    g = LabeledGraph([0, 1, 3, 3, 4], [1, 0, 2, 1], np.zeros(4, dtype=bool))
+    if not compiled:
+        monkeypatch.setattr(walk, "_kernel", lambda: None)
+    with pytest.raises(IndexError, match="^node 2 has no neighbor to select$"):
+        walk._select(g, 0, 30, 0)
+    # a walk whose trailing hit is node 2 selects nothing from it
+    assert walk._select(g, 0, 2, 1).tolist() == [1, 2]
