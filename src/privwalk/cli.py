@@ -84,8 +84,6 @@ def _cmd_walk(args) -> int:
     if args.seed_node is not None and args.seed_pick_seed is not None:
         raise ValueError("--seed-node excludes --seed-pick-seed")
     mode = PubdegMode(args.mode)
-    if args.count_visit_queries and mode is PubdegMode.EXACT_IDEAL:
-        raise ValueError("--count-visit-queries applies to the hidden model only")
     if args.fraction is not None:
         _check_fraction("--fraction", args.fraction)
     g = _load_labeled(args)
@@ -105,7 +103,6 @@ def _cmd_walk(args) -> int:
         args.rng_seed,
         ledger,
         view=view,
-        count_visit_queries=args.count_visit_queries,
     )
     print(f"samples {record.r}")
     print(f"seed_node {seed_node}")
@@ -217,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-node", type=int, help="fixed public seed node (dense id)")
     p.add_argument("--seed-pick-seed", type=int, help="seed for uniform seed choice (default 0)")
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--count-visit-queries", action="store_true",
-                   help="charge sample visits separately from label probes")
     p.add_argument("--memoize", action="store_true", help="do not recount repeat queries")
     p.add_argument("--out", help="dump the walk record")
     p.set_defaults(func=_cmd_walk)

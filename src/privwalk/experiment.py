@@ -74,7 +74,6 @@ class ExperimentConfig:
     base_seed: int = 1
     outdir: str = "results"
     nrmse_target: str = "estimates"  # or "convergence"
-    count_visit_queries: bool = False
     census_memoize: bool = False
     workers: int = 1
 
@@ -118,14 +117,21 @@ def _parse_floats(s: str) -> tuple[float, ...]:
     """Parse ``start:stop:step`` (stop inclusive within half a step) or a comma list.
 
     Raises ValueError with a one-line message for a malformed, zero-step,
-    reversed or empty grid.
+    reversed or empty grid, a non-numeric entry, or an empty list entry.
     """
+
+    def number(token: str) -> float:
+        try:
+            return float(token)
+        except ValueError:
+            raise ValueError(f"grid {s!r}: {token.strip()!r} is not a number") from None
+
     text = s.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid {s!r}: expected start:stop:step")
-        start, stop, step = (float(t) for t in parts)
+        start, stop, step = map(number, parts)
         if not all(math.isfinite(x) for x in (start, stop, step)):
             raise ValueError(f"grid {s!r}: bounds and step must be finite")
         if step == 0:
@@ -135,7 +141,10 @@ def _parse_floats(s: str) -> tuple[float, ...]:
             raise ValueError(f"grid {s!r}: step {step:g} leads away from stop {stop:g}")
         values = tuple(round(start + i * step, 10) for i in range(count))
     else:
-        values = tuple(float(t) for t in text.split(",") if t.strip())
+        tokens = [t.strip() for t in text.split(",")]
+        if any(tokens) and not all(tokens):
+            raise ValueError(f"grid {s!r}: empty entry")
+        values = tuple(map(number, filter(None, tokens)))
     if not values:
         raise ValueError(f"grid {s!r} is empty")
     return values
@@ -171,7 +180,6 @@ _CONFIG_KEYS = {
     "base_seed": ("base_seed", int, "an integer"),
     "outdir": ("outdir", str, None),
     "nrmse_target": ("nrmse_target", str, None),
-    "count_visit_queries": ("count_visit_queries", _parse_bool, "true/false"),
     "census_memoize": ("census_memoize", _parse_bool, "true/false"),
     "workers": ("workers", int, "an integer"),
 }
@@ -288,8 +296,7 @@ def _run_trial(g, cfg: ExperimentConfig, p: float | None, trial_seed: int) -> li
     modes = (PubdegMode(cfg.pubdeg_mode),)
     out = []
     for r in sizes:
-        (record,) = _record(gl, view, seed_node, probes, r, modes, (QueryLedger(),),
-                            cfg.count_visit_queries)
+        (record,) = _record(gl, view, seed_node, probes, r, modes, (QueryLedger(),))
         try:
             rep = build_report(record, default_gap_threshold(r, cfg.m_fraction))
             est = (rep.size_nc, rep.size_proposed, rep.avg_degree_smooth, rep.avg_degree_proposed)
@@ -311,7 +318,7 @@ def _census_trial(g, cfg: ExperimentConfig, p: float | None, trial_seed: int) ->
     out = []
     for r in sizes:
         ledgers = [QueryLedger(memoize=cfg.census_memoize) for _ in CENSUS_MODES]
-        _record(gl, view, seed_node, probes, r, CENSUS_MODES, ledgers, cfg.count_visit_queries)
+        _record(gl, view, seed_node, probes, r, CENSUS_MODES, ledgers)
         out.append([(len(q.unique_queried) / g.node_count, q.raw_queries) for q in ledgers])
     return out
 

@@ -62,7 +62,7 @@ class QueryLedger:
     With ``memoize`` enabled a repeat query of an already-queried node is
     assumed to be answered from cache and is not counted. Default is off,
     which matches crawlers that do not store past answers. Only the walk
-    in this module fills a ledger, adding to what it already holds.
+    in this module fills a ledger, and it fills an empty one.
     """
 
     __slots__ = ("raw_queries", "unique_queried", "per_sample_queries", "memoize")
@@ -182,7 +182,6 @@ def run_walk(
     ledger: QueryLedger | None = None,
     *,
     view: PublicClusterView | None = None,
-    count_visit_queries: bool = False,
 ) -> WalkRecord:
     """Run an ``r``-sample walk from a public seed on the largest cluster.
 
@@ -196,16 +195,13 @@ def run_walk(
         reproducible given the seed, and all three modes consume the
         random stream identically, so they visit the same node sequence.
     ledger
-        Query accounting; a fresh ledger is created when omitted. Charges
-        are added on top of whatever the ledger already holds.
+        Query accounting; a fresh ledger is created when omitted. The walk
+        fills an empty ledger and raises ValueError for one that already
+        holds charges.
     view
         The largest-cluster view of ``g``, to avoid recomputing it per
         walk; computed when omitted. The exact modes read each sample's
         public degree from it.
-    count_visit_queries
-        Hidden model only: when True, arriving at a sample charges one
-        extra query even though the node was already queried as a label
-        probe. Default counts each query once.
 
     Query conventions: under the ideal model every sample visit costs one
     query (labels ride along for free). Under the hidden model the seed's
@@ -213,19 +209,21 @@ def run_walk(
     is public at all; afterwards the only charged queries are the label
     probes, whose reports double as the next sample's neighbor data.
     `exact_hidden` probes every neighbor of each sample once per visit,
-    `approx_hidden` probes each selected neighbor. Within a sample the
-    arrival charge comes first, then the probes in selection order; with
-    ``memoize`` only a node's first charge counts.
+    `approx_hidden` probes each selected neighbor. Arriving at a sample
+    costs nothing more. Within a sample the probes are charged in
+    selection order; with ``memoize`` only a node's first charge counts.
     """
     model = AccessModel(model)
     pubdeg_mode = PubdegMode(pubdeg_mode)
     pubdeg_mode.check_model(model)
+    if ledger is None:
+        ledger = QueryLedger()
+    elif ledger.raw_queries or ledger.unique_queried or ledger.per_sample_queries:
+        raise ValueError("the ledger already holds charges; pass an empty QueryLedger")
     if view is None:
         view = largest_public_cluster(g)
     probes = _selections(g, view, seed_node, r, rng_seed)
-    ledger = QueryLedger() if ledger is None else ledger
-    return _record(g, view, int(seed_node), probes, r, (pubdeg_mode,), (ledger,),
-                   count_visit_queries)[0]
+    return _record(g, view, int(seed_node), probes, r, (pubdeg_mode,), (ledger,))[0]
 
 
 def _selections(
@@ -252,12 +250,12 @@ def _selections(
 
 
 def _record(g: LabeledGraph, view: PublicClusterView, seed_node: int, probes, r: int, modes,
-            ledgers, count_visit_queries) -> list[WalkRecord]:
+            ledgers) -> list[WalkRecord]:
     """The record of each of ``modes`` for the first ``r`` samples of a walk.
 
     ``probes`` is what :func:`_selections` returned for ``seed_node`` on
     ``view``, the view of ``g``, for at least ``r`` samples; mode ``i``
-    charges ``ledgers[i]``.
+    fills ``ledgers[i]``, which must be empty.
     """
     # each sample's selections end at its first public hit, which is the
     # next sample; the r-th sample's trailing hit is selected but unused.
@@ -285,15 +283,12 @@ def _record(g: LabeledGraph, view: PublicClusterView, seed_node: int, probes, r:
         dict(zip(ids, visits[first].tolist())), dict(zip(ids, attempts[first].tolist()))
     )
 
-    visit = int(count_visit_queries)
     records = []
     for mode, ledger in zip(modes, ledgers):
         if mode is PubdegMode.APPROX_HIDDEN:
             pub_out = degs * (visits[owner] / attempts[owner])
-            # sample k charges its arrival, if counted, then its own probes
-            charged = np.insert(probes, hits - tries + 1, nodes) if visit else probes
-            per_sample = tries + visit
-            _charge(ledger, n, charged, np.cumsum(per_sample), np.arange(r), per_sample)
+            # sample k charges its own probes, which end at its hit
+            _charge(ledger, n, probes, hits + 1, np.arange(r), tries)
         else:
             # samples are cluster members, so all their public neighbors are members
             pub_out = view.public_degree[nodes].astype(np.float64)
@@ -308,8 +303,7 @@ def _record(g: LabeledGraph, view: PublicClusterView, seed_node: int, probes, r:
             ends = np.cumsum(lens)
             starts = np.repeat(g.indptr[distinct] - ends + lens, lens)
             nbr_ids = g.indices[starts + np.arange(ends[-1])]
-            charged = np.insert(nbr_ids, ends - lens, distinct) if visit else nbr_ids
-            _charge(ledger, n, charged, np.cumsum(lens + visit), first, degs + visit)
+            _charge(ledger, n, nbr_ids, ends, first, degs)
         records.append(WalkRecord(nodes, degs, pub_out, mode, ledger, counters))
     return records
 
@@ -408,7 +402,7 @@ def _charge(
     seg_sample: np.ndarray,
     plain_counts: np.ndarray,
 ) -> None:
-    """Add a walk's queries to ``ledger``, one bucket per sample.
+    """Fill ``ledger`` with a walk's queries, one bucket per sample.
 
     ``charged`` lists queried ids in charge order, cut into segments that
     end at ``seg_ends``; segment ``i`` belongs to sample ``seg_sample[i]``.
@@ -418,12 +412,8 @@ def _charge(
     does.
     """
     if ledger.memoize:
-        # a charge counts when it is the id's first, and the id is new
+        # a charge counts when it is the id's first
         ids, first = np.unique(charged, return_index=True)
-        if ledger.unique_queried:
-            prior = np.fromiter(ledger.unique_queried, np.int64, len(ledger.unique_queried))
-            fresh = ~np.isin(ids, prior)
-            ids, first = ids[fresh], first[fresh]
         owner = seg_sample[np.searchsorted(seg_ends, first, side="right")]
         counts = np.bincount(owner, minlength=plain_counts.size)
     else:
@@ -431,6 +421,6 @@ def _charge(
         queried[charged] = True
         ids = np.flatnonzero(queried)
         counts = plain_counts
-    ledger.raw_queries += int(counts.sum())
-    ledger.per_sample_queries.extend(counts.tolist())
-    ledger.unique_queried.update(ids.tolist())
+    ledger.raw_queries = int(counts.sum())
+    ledger.per_sample_queries = counts.tolist()
+    ledger.unique_queried = set(ids.tolist())

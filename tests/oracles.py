@@ -439,8 +439,6 @@ def reference_walk(
     pubdeg_mode,
     rng_seed,
     ledger: ReferenceLedger | None = None,
-    *,
-    count_visit_queries: bool = False,
 ) -> WalkRecord:
     """The designed walk, one facade query at a time.
 
@@ -477,8 +475,6 @@ def reference_walk(
         rep = query_node(g, cur, model, ledger)
     else:
         rep = query_node(g, cur, model, None)  # seed report came with seed selection
-        if count_visit_queries:
-            ledger.charge(cur)
 
     for k in range(r):
         nbrs = rep.neighbor_ids
@@ -525,8 +521,6 @@ def reference_walk(
                 rep = query_node(g, u, model, ledger)
             else:
                 rep = query_node(g, u, model, None)  # reuse the probe's report
-                if count_visit_queries:
-                    ledger.charge(u)
             cur = u
 
     if approx:
@@ -588,7 +582,6 @@ def reference_run_experiment(cfg, graph) -> list[NrmseRow]:
                         keys[2],
                         ledger,
                         view=view,
-                        count_visit_queries=cfg.count_visit_queries,
                     )
                 except StuckWalkError:
                     ratios.append(nan)
@@ -654,7 +647,6 @@ def reference_query_census(cfg, graph) -> list[dict]:
                             keys[2],
                             ledger,
                             view=view,
-                            count_visit_queries=cfg.count_visit_queries,
                         )
                     except StuckWalkError:
                         continue

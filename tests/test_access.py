@@ -10,7 +10,14 @@ from oracles import (
     query_node,
 )
 
-from privwalk import AccessModel, PubdegMode, build_graph, largest_public_cluster, run_walk
+from privwalk import (
+    AccessModel,
+    PubdegMode,
+    QueryLedger,
+    build_graph,
+    largest_public_cluster,
+    run_walk,
+)
 
 
 def test_ideal_report_carries_labels(fixture_graph):
@@ -106,22 +113,26 @@ def test_hidden_exact_walk_on_regular_graph_charges_r_times_d():
     assert rec.ledger.per_sample_queries == [d] * r
 
 
-def test_visit_counting_flag_adds_one_per_sample():
-    d = 4
-    g = build_graph(regular_edges(40, d, seed=3), [False] * 40)
-    r = 200
-    base = run_walk(g, AccessModel.HIDDEN, 0, r, PubdegMode.EXACT_HIDDEN, rng_seed=11)
-    counted = run_walk(
-        g,
-        AccessModel.HIDDEN,
-        0,
-        r,
-        PubdegMode.EXACT_HIDDEN,
-        rng_seed=11,
-        count_visit_queries=True,
-    )
-    assert np.array_equal(base.nodes, counted.nodes)
-    assert counted.ledger.raw_queries == base.ledger.raw_queries + r
+@pytest.mark.parametrize("memoize", [False, True])
+def test_walk_refuses_a_charged_ledger(fixture_graph, monkeypatch, memoize):
+    from privwalk import walk
+
+    walked = QueryLedger(memoize=memoize)
+    run_walk(fixture_graph, AccessModel.HIDDEN, 4, 50, PubdegMode.APPROX_HIDDEN, 3, walked)
+    assert walked.raw_queries > 0
+    known = QueryLedger(memoize=memoize)
+    known.unique_queried.add(5)  # a node queried before, with no charge counted
+
+    def no_selection(*args):
+        raise AssertionError("the walk made selections")
+
+    monkeypatch.setattr(walk, "_select", no_selection)
+    for ledger in (walked, known):
+        held = (ledger.raw_queries, set(ledger.unique_queried), list(ledger.per_sample_queries))
+        for mode in PubdegMode:
+            with pytest.raises(ValueError, match="^the ledger already holds charges"):
+                run_walk(fixture_graph, mode.access_model, 4, 50, mode, 3, ledger)
+        assert (ledger.raw_queries, ledger.unique_queried, ledger.per_sample_queries) == held
 
 
 def test_walk_per_sample_queries_sum_to_raw(fixture_graph):

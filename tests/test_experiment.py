@@ -1,3 +1,4 @@
+import argparse
 import csv
 import math
 import re
@@ -49,7 +50,7 @@ def test_load_config_full(tmp_path):
         "base_seed = 9\n"
         "outdir = out\n"
         "nrmse_target = convergence\n"
-        "count_visit_queries = yes\n"
+        "census_memoize = yes\n"
         "workers = 2\n",
     )
     cfg = load_config(f)
@@ -60,7 +61,7 @@ def test_load_config_full(tmp_path):
     assert cfg.sample_fractions == (0.01, 0.1)
     assert cfg.sample_sizes is None
     assert cfg.trials == 12 and cfg.base_seed == 9 and cfg.workers == 2
-    assert cfg.count_visit_queries
+    assert cfg.census_memoize
     assert cfg.nrmse_target == "convergence"
 
 
@@ -83,6 +84,18 @@ def test_readme_config_table_lists_exactly_the_config_keys():
     assert set(documented) == set(_CONFIG_KEYS)
 
 
+def test_readme_command_line_lists_exactly_the_cli_flags():
+    from privwalk.cli import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--?[a-zA-Z][\w-]*", section))
+    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for sub in commands.choices.values() for action in sub._actions
+             for flag in action.option_strings} - {"-h", "--help"}
+    assert documented == flags
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ValueError, match="dataset"):
         load_config(_write_config(tmp_path, "trials = 3\n"))
@@ -97,7 +110,7 @@ def test_load_config_errors(tmp_path):
     with pytest.raises(ValueError, match="label_file excludes p_grid$"):
         load_config(_write_config(tmp_path, "dataset = g\nlabel_file = l\np_grid = 0.1, 0.2\n"))
     with pytest.raises(ValueError, match="true/false"):
-        load_config(_write_config(tmp_path, "dataset = g\ncount_visit_queries = maybe\n"))
+        load_config(_write_config(tmp_path, "dataset = g\ncensus_memoize = maybe\n"))
     with pytest.raises(ValueError, match="key = value"):
         load_config(_write_config(tmp_path, "dataset g\n"))
 
@@ -185,7 +198,7 @@ def test_parse_floats_grids():
     assert _parse_floats("0.1, 0.4") == (0.1, 0.4)
 
 
-@pytest.mark.parametrize("grid", ["0:0.3:0", "0.3:0:0.1", ","])
+@pytest.mark.parametrize("grid", ["0:0.3:0", "0.3:0:0.1", ",", "0.1,abc", "a:b:c", "0.1,,0.2"])
 def test_cli_rejects_bad_grids(tmp_path, capsys, grid):
     from privwalk.cli import main
 
@@ -213,8 +226,7 @@ def test_cli_rejects_bad_grids(tmp_path, capsys, grid):
          "--seed-pick-seed must be at least 0, got -1"),
         (["walk", "{edges}", "--length", "10", "--bernoulli", "0.2", "--label-seed", "-1"],
          "--label-seed must be at least 0, got -1"),
-        (["walk", "{edges}", "--length", "50", "--mode", "exact_ideal", "--count-visit-queries"],
-         "--count-visit-queries applies to the hidden model only"),
+        (["estimate", "{samples}", "-m", "3"], "gap threshold must satisfy 1 <= m < r, got m=3, r=3"),
         (["walk", "{edges}", "--length", "20", "--seed-node", "1", "--seed-pick-seed", "5"],
          "--seed-node excludes --seed-pick-seed"),
         (["walk", "{edges}", "--length", "20", "--seed-node", "1", "--seed-pick-seed", "0"],
@@ -504,13 +516,12 @@ def _census_graph(name, medium_graph):
     [
         ("medium", dict(p_grid=(0.2, 0.3), sample_sizes=(150, 300)), "all"),
         ("medium", dict(p_grid=(0.3,), census_memoize=True), "all"),
-        ("medium", dict(p_grid=(0.3,), count_visit_queries=True), "all"),
         ("labeled", dict(label_file="unused"), "all"),
         ("medium", dict(p_grid=(1.0,)), "none"),
         ("lonely", dict(label_file="unused", sample_sizes=(5,)), "none"),
         ("star", dict(p_grid=(0.5,), sample_sizes=(20,), trials=16), "some"),
     ],
-    ids=["grid_2x2", "memoize", "visit_queries", "file_labels", "all_private", "stuck", "mixed"],
+    ids=["grid_2x2", "memoize", "file_labels", "all_private", "stuck", "mixed"],
 )
 def test_query_census_matches_reference(tmp_path, medium_graph, graph, kw, walked):
     g = _census_graph(graph, medium_graph)
@@ -551,8 +562,7 @@ def test_census_walks_once_per_trial(tmp_path, medium_graph, monkeypatch):
     [
         ("medium", dict(p_grid=(0.2, 0.3), sample_sizes=(300, 40, 150, 40))),
         ("medium", dict(p_grid=(0.3,), sample_sizes=(150, 60, 150), nrmse_target="convergence")),
-        ("medium", dict(p_grid=(0.3,), sample_sizes=(200, 80), count_visit_queries=True,
-                        pubdeg_mode=PubdegMode.EXACT_HIDDEN)),
+        ("medium", dict(p_grid=(0.3,), sample_sizes=(200, 80), pubdeg_mode=PubdegMode.EXACT_HIDDEN)),
         ("medium", dict(p_grid=(0.3,), sample_sizes=(80, 200), model=AccessModel.IDEAL,
                         pubdeg_mode=PubdegMode.EXACT_IDEAL)),
         ("labeled", dict(label_file="unused", sample_sizes=(300, 100))),
@@ -561,7 +571,7 @@ def test_census_walks_once_per_trial(tmp_path, medium_graph, monkeypatch):
         ("star", dict(p_grid=(0.5,), sample_sizes=(20, 2), trials=16)),
         ("medium", dict(p_grid=(0.2, 0.3), sample_sizes=(150, 60), workers=2)),
     ],
-    ids=["unsorted_repeated", "convergence", "exact_hidden_visits", "exact_ideal", "file_labels",
+    ids=["unsorted_repeated", "convergence", "exact_hidden", "exact_ideal", "file_labels",
          "all_private", "stuck", "mixed", "workers_2"],
 )
 def test_run_experiment_matches_per_cell_reference(tmp_path, medium_graph, graph, kw):

@@ -9,6 +9,7 @@ from graphgen import write_edge_file
 from privwalk import (
     IngestError,
     assign_labels_bernoulli,
+    build_graph,
     load_edge_list,
     load_labels,
     load_sample_records,
@@ -133,6 +134,13 @@ def test_label_round_trip(tmp_path):
     assert "10 1" in text and "20 0" in text
     g2 = load_labels(out, g)
     assert np.array_equal(g2.is_private, gl.is_private)
+
+
+def test_labels_join_dense_ids_without_an_id_map(tmp_path):
+    g = build_graph([(0, 1), (1, 2)], [False] * 3)  # built in code: no original ids
+    assert g.orig_ids is None
+    gl = load_labels(_write(tmp_path / "labels.txt", "0 1\n1 0\n2 private\n"), g)
+    assert list(gl.is_private) == [True, False, True]
 
 
 def test_relabeled_graphs_share_the_frozen_topology(tmp_path):

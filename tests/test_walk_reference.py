@@ -52,19 +52,8 @@ def walk_cases(draw):
         r=r,
         mode=draw(st.sampled_from(list(PubdegMode))),
         memoize=draw(st.booleans()),
-        count_visit_queries=draw(st.booleans()),
-        prior=draw(st.lists(st.integers(0, 2 * n), max_size=6)),
         rng_seed=draw(st.integers(0, 2**32 - 1)),
     )
-
-
-def _ledger(case):
-    ledger = ReferenceLedger(memoize=case["memoize"])
-    if case["prior"]:
-        ledger.begin_sample()
-        for v in case["prior"]:
-            ledger.charge(v)
-    return ledger
 
 
 @settings(max_examples=60, deadline=None, database=None,
@@ -74,9 +63,8 @@ def test_walk_matches_facade_reference(case, runner):
     mode = case["mode"]
     args = (case["g"], mode.access_model, case["seed_node"], case["r"], mode, case["rng_seed"])
     with RUNNERS[runner]():
-        got = run_walk(*args, _ledger(case), view=case["view"],
-                       count_visit_queries=case["count_visit_queries"])
-    ref = reference_walk(*args, _ledger(case), count_visit_queries=case["count_visit_queries"])
+        got = run_walk(*args, QueryLedger(memoize=case["memoize"]), view=case["view"])
+    ref = reference_walk(*args, ReferenceLedger(memoize=case["memoize"]))
 
     assert np.array_equal(got.nodes, ref.nodes)
     assert np.array_equal(got.degrees, ref.degrees)
@@ -103,14 +91,11 @@ def test_a_walk_prefix_is_the_shorter_walk(case, data):
     r = data.draw(st.integers(1, longest - 1))
     probes = _selections(g, view, seed_node, longest, case["rng_seed"])
     ledgers = [QueryLedger(memoize=case["memoize"]) for _ in range(2 * len(modes))]
-    for ledger in ledgers:
-        ledger.unique_queried.update(case["prior"])
-    records = _record(g, view, seed_node, probes, r, modes, ledgers[: len(modes)],
-                      case["count_visit_queries"])
+    records = _record(g, view, seed_node, probes, r, modes, ledgers[: len(modes)])
     assert len(records) == len(modes)
     for mode, got, ledger in zip(modes, records, ledgers[len(modes) :]):
         want = run_walk(g, mode.access_model, seed_node, r, mode, case["rng_seed"], ledger,
-                        view=view, count_visit_queries=case["count_visit_queries"])
+                        view=view)
 
         assert got.pubdeg_mode is mode
         assert np.array_equal(got.nodes, want.nodes)
