@@ -6,23 +6,33 @@ in both directions). The CSR is label-independent and built once per
 graph; relabeling shares it. This module builds the CSR from edge pairs
 and answers every component question with :func:`largest_public_cluster`:
 the connectivity check of :func:`build_graph`, the largest component
-that edge-list ingest keeps, and the public cluster of each trial. All
-arrays are frozen after construction and nothing is cached, so graphs
-and cluster views can be shared freely across threads and worker
-processes.
+that edge-list ingest keeps, and the public cluster of each trial. That
+call is one union-find pass over the CSR, a small C function
+(``_kernels.c``) or its line-for-line Python twin when no compiler is
+found or the build fails; :func:`_kernels` builds the library, which
+holds the walk's selection step too. All arrays are frozen after
+construction and a graph caches nothing, so graphs and cluster views can
+be shared freely across threads and worker processes.
 """
 
 from __future__ import annotations
 
 import copy
+import ctypes
 import itertools
+import logging
+import operator
+import shutil
+import subprocess
+import tempfile
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+
+log = logging.getLogger(__name__)
 
 
 class GraphError(ValueError):
@@ -270,36 +280,6 @@ def _csr_from_pairs(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray,
     return indptr, dst
 
 
-def _induced(indptr, indices, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR ``(indptr, indices)`` of the subgraph induced by the nodes where
-    ``keep`` is True, renumbered ``0..k-1`` in id order; both int64.
-
-    Only the kept rows are read, so the cost follows their entries, not
-    the whole graph's. Each row keeps its order.
-    """
-    nodes = np.flatnonzero(keep)
-    starts = indptr[nodes]
-    lens = indptr[nodes + 1] - starts
-    ends = np.cumsum(lens)
-    # the kept rows' entry positions, row after row
-    pos = np.repeat(starts - ends + lens, lens)
-    pos += np.arange(pos.size)
-    cols = indices[pos]
-    del pos
-    inside = np.flatnonzero(keep[cols])
-    new_indptr = np.searchsorted(inside, np.concatenate(([0], ends)))
-    return new_indptr, (np.cumsum(keep) - 1)[cols[inside]]
-
-
-def _csgraph(indptr, indices, n: int) -> csr_matrix:
-    """A CSR over ``0..n-1`` as SciPy's graph routines take it.
-
-    They read no weights, so one broadcast 1.0 stands for every entry's
-    data; with int32 index arrays SciPy's search copies nothing.
-    """
-    return csr_matrix((np.broadcast_to(1.0, indices.shape), indices, indptr), shape=(n, n))
-
-
 def assign_labels_bernoulli(g: LabeledGraph, p: float, rng_seed) -> LabeledGraph:
     """Redraw privacy labels: each node independently private with probability p.
 
@@ -319,55 +299,106 @@ def largest_public_cluster(g: LabeledGraph) -> PublicClusterView:
     to the cluster holding the smallest node id. Raises
     :class:`GraphError` when the graph has no public node.
 
-    The search runs on the public-row CSR: the full CSR with the rows of
-    private nodes emptied, int32 throughout. A breadth-first search that
-    follows its rows from the public node with the most public neighbors
-    reaches that node's cluster, plus the private nodes beside it, which
-    it leaves by no edge. Only the public nodes it did not reach are then
-    labeled, by one component call on the subgraph they induce; on a
-    well-connected graph they are few or none. The public degrees are the
-    column counts of the public-row CSR: the number of public neighbors,
-    all of which lie in the node's own cluster.
+    One union-find pass over the CSR (``privwalk_clusters`` of
+    :func:`_kernels`, or its Python twin :func:`_cluster_pass`) gives
+    each public node the smallest node of its cluster as its root, and
+    each public row its count of public entries. A public node's public
+    neighbors all lie in its own cluster, so that count is its public
+    degree. One ``bincount`` of the roots gives every cluster's size at
+    its root, whose id is the cluster's smallest, so ``argmax`` keeps the
+    tie rule.
     """
-    pub = ~g.is_private
-    if not pub.any():
-        raise GraphError("graph has no public node")
     n = g.node_count
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.where(pub, g.degrees, 0), out=indptr[1:])
-    indices = g.indices[np.repeat(pub, g.degrees)]
-    # bincount reads intp, so it counts before the cast to int32
-    pub_deg = np.bincount(indices, minlength=n)
-    indices = indices.astype(np.int32)
-    hub = int(np.argmax(np.where(pub, pub_deg, -1)))
-    member_flag = np.zeros(n, dtype=bool)
-    member_flag[breadth_first_order(_csgraph(indptr, indices, n), hub, directed=True,
-                                    return_predecessors=False)] = True
-    member_flag &= pub
-
-    rest = pub & ~member_flag
-    sizes = np.array([np.count_nonzero(member_flag)])
-    if rest.any():
-        rest_indptr, rest_indices = _induced(g.indptr, g.indices, rest)
-        k = rest_indptr.size - 1
-        _, comp = connected_components(_csgraph(rest_indptr, rest_indices, k), directed=False)
-        sizes = np.append(sizes, np.bincount(comp))
-        # the smallest node of each cluster, the hub's first
-        rest_nodes = np.flatnonzero(rest)
-        first = np.append(np.argmax(member_flag), rest_nodes[np.unique(comp, return_index=True)[1]])
-        best = int(np.lexsort((first, -sizes))[0])
-        if best:
-            member_flag = np.zeros(n, dtype=bool)
-            member_flag[rest_nodes[comp == best - 1]] = True
+    root = np.empty(n, dtype=np.int64)  # n marks a private node
+    pub_deg = np.empty(n, dtype=np.int64)
+    lib = _kernels()
+    if lib is None:  # the Python twin indexes the arrays through their buffers
+        step, ref = _cluster_pass, memoryview
+    else:  # the compiled pass takes their addresses
+        step, ref = lib.privwalk_clusters, operator.attrgetter("ctypes.data")
+    step(ref(g.indptr), ref(g.indices), ref(g.is_private), n, ref(root), ref(pub_deg))
+    sizes = np.bincount(root, minlength=n + 1)  # nonzero at each root only
+    sizes[n] = 0  # the private nodes, which form no cluster
+    best = int(np.argmax(sizes))
+    if not sizes[best]:
+        raise GraphError("graph has no public node")
+    member_flag = root == best
     public_degree = np.where(member_flag, pub_deg, 0)
 
-    uniq, cnt = np.unique(sizes, return_counts=True)
-    census = tuple(zip(uniq[::-1].tolist(), cnt[::-1].tolist()))
+    count = np.bincount(sizes)  # count[0] counts the nodes that are no root
+    size = np.flatnonzero(count[1:])[::-1] + 1
+    census = tuple(zip(size.tolist(), count[size].tolist()))
 
     return PublicClusterView(
         member_flag=_freeze(member_flag),
-        member_count=int(member_flag.sum()),
+        member_count=int(sizes[best]),
         public_degree=_freeze(public_degree),
         public_degree_sum=int(public_degree.sum()),
         cluster_census=census,
     )
+
+
+def _cluster_pass(indptr, indices, is_private, n, root, pub_deg) -> None:
+    """``privwalk_clusters`` of ``_kernels.c``, line for line, on buffers."""
+    for v in range(n):
+        root[v] = n if is_private[v] else v
+        pub_deg[v] = 0
+    for v in range(n):
+        if is_private[v]:
+            continue
+        a = _find(root, v)
+        for i in range(indptr[v], indptr[v + 1]):
+            w = indices[i]
+            if is_private[w]:
+                continue
+            pub_deg[v] += 1
+            b = _find(root, w)
+            if a < b:
+                root[b] = a
+            elif b < a:
+                root[a] = b
+                a = b
+    for v in range(n):
+        if not is_private[v]:
+            root[v] = root[root[v]]
+
+
+def _find(root, v: int) -> int:
+    """``find`` of ``_kernels.c``, line for line, on a buffer."""
+    while root[v] != v:
+        root[v] = root[root[v]]
+        v = root[v]
+    return v
+
+
+@cache
+def _kernels():
+    """The library built from ``_kernels.c``, or None when it cannot be built.
+
+    It holds the walk's selection step, ``privwalk_select``, and the
+    cluster pass, ``privwalk_clusters``. The library is built once per
+    process, on first use, with the system C compiler into a private
+    temporary directory, which is deleted as soon as the library is
+    loaded.
+    """
+    fallback = "the walk's selection step and the cluster pass run in Python"
+    cc = shutil.which("cc")
+    if cc is None:
+        log.debug("no C compiler found; %s", fallback)
+        return None
+    source = Path(__file__).with_name("_kernels.c")
+    with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
+        path = Path(tmp, "_kernels.so")
+        try:
+            subprocess.run([cc, "-O2", "-shared", "-fPIC", "-o", str(path), str(source)],
+                           check=True, capture_output=True)
+            lib = ctypes.CDLL(str(path))
+        except (OSError, subprocess.SubprocessError) as e:
+            log.debug("cannot build %s (%s); %s", source, e, fallback)
+            return None
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    lib.privwalk_select.restype = i64
+    lib.privwalk_select.argtypes = [ptr, ptr, ptr, ptr, i64, i64, ptr, ptr]
+    lib.privwalk_clusters.restype = None
+    lib.privwalk_clusters.argtypes = [ptr, ptr, ptr, i64, ptr, ptr]
+    return lib

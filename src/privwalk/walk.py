@@ -14,14 +14,14 @@ exhaustively.
 
 The walk itself is one block loop over the CSR arrays that records
 every neighbor selection and nothing else. Each block of uniforms goes
-to one step: a small C function (``_select.c``), built with the system
-compiler on first use, or its line-for-line Python twin when no compiler
-is found or the build fails. Both pick the same neighbors, so their
-selections are identical bit for bit, and both stop at a node without
-neighbors, where the walk raises. One NumPy pass over that record
-derives the node sequence, the tries per sample, the degrees and the
-selection counters once, then each requested mode's public degrees and
-query ledger. They take the same values, under the same query
+to one step: a small C function in ``_kernels.c``, built with the system
+compiler on first use (:func:`privwalk.graph._kernels`), or its
+line-for-line Python twin when no compiler is found or the build fails.
+Both pick the same neighbors, so their selections are identical bit for
+bit, and both stop at a node without neighbors, where the walk raises.
+One NumPy pass over that record derives the node sequence, the tries
+per sample, the degrees and the selection counters once, then each
+requested mode's public degrees and query ledger. They take the same values, under the same query
 conventions, as charging each query as it happens; ``tests/oracles.py``
 holds that query-by-query reference, which defines the conventions and
 against which the tests hold this walk.
@@ -29,23 +29,15 @@ against which the tests hold this walk.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import logging
 import operator
-import shutil
-import subprocess
-import tempfile
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
+from . import graph
 from .graph import GraphError, LabeledGraph, PublicClusterView, largest_public_cluster
-
-log = logging.getLogger(__name__)
 
 
 class AccessModel(Enum):
@@ -318,17 +310,18 @@ def _select(g: LabeledGraph, seed_node: int, r: int, rng_seed) -> np.ndarray:
     of ``_RAND_BLOCK`` uniforms. Raises IndexError naming the node when
     the walk must select from a node without neighbors.
 
-    Each block goes to one step: the compiled loop of :func:`_kernel`, or
-    its Python twin :func:`_select_block` when that cannot be built. Both
+    Each block goes to one step: ``privwalk_select`` of
+    :func:`privwalk.graph._kernels`, or its Python twin
+    :func:`_select_block` when that cannot be built. Both
     take the same uniforms and compute each pick in double precision, so
     the two runners return the same array for every seed.
     """
     rng = np.random.default_rng(rng_seed)
-    step = _kernel()
-    if step is None:  # the Python twin indexes the arrays through their buffers
+    lib = graph._kernels()
+    if lib is None:  # the Python twin indexes the arrays through their buffers
         step, ref = _select_block, memoryview
     else:  # the compiled step takes their addresses
-        ref = operator.attrgetter("ctypes.data")
+        step, ref = lib.privwalk_select, operator.attrgetter("ctypes.data")
     u = np.empty(_RAND_BLOCK)
     state = np.array([seed_node, 0], dtype=np.int64)  # node walked from, samples done
     fixed = (ref(g.indptr), ref(g.indices), ref(g.is_private), ref(u), _RAND_BLOCK, r, ref(state))
@@ -348,7 +341,7 @@ def _select(g: LabeledGraph, seed_node: int, r: int, rng_seed) -> np.ndarray:
 
 
 def _select_block(indptr, indices, is_private, u, nu, r, state, out) -> int:
-    """``privwalk_select`` of ``_select.c``, line for line, on buffers."""
+    """``privwalk_select`` of ``_kernels.c``, line for line, on buffers."""
     at, done, k = state[0], state[1], 0
     lo = indptr[at]
     deg = indptr[at + 1] - lo
@@ -364,34 +357,6 @@ def _select_block(indptr, indices, is_private, u, nu, r, state, out) -> int:
     state[0] = at
     state[1] = done
     return -1 if deg == 0 and done < r else k
-
-
-@functools.cache
-def _kernel():
-    """The compiled selection step of ``_select.c``, or None when it cannot be built.
-
-    The library is built once per process, on first use, with the system
-    C compiler into a private temporary directory, which is deleted as
-    soon as the library is loaded.
-    """
-    cc = shutil.which("cc")
-    if cc is None:
-        log.debug("no C compiler found; walks run the Python selection step")
-        return None
-    source = Path(__file__).with_name("_select.c")
-    with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
-        lib = Path(tmp, "_select.so")
-        try:
-            subprocess.run([cc, "-O2", "-shared", "-fPIC", "-o", str(lib), str(source)],
-                           check=True, capture_output=True)
-            fn = ctypes.CDLL(str(lib)).privwalk_select
-        except (OSError, subprocess.SubprocessError) as e:
-            log.debug("cannot build %s (%s); walks run the Python selection step", source, e)
-            return None
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-                   ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
-    return fn
 
 
 def _charge(

@@ -1,8 +1,20 @@
-"""Small graph generators for tests. Deterministic given a seed."""
+"""Small graph generators for tests, deterministic given a seed, and the
+switch between privwalk's compiled steps and their Python twins."""
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+from unittest import mock
+
 import numpy as np
+
+from privwalk import graph
+
+# the compiled steps of _kernels.c, and the Python twins they fall back to
+RUNNERS = {
+    "compiled": nullcontext,
+    "python": lambda: mock.patch.object(graph, "_kernels", lambda: None),
+}
 
 
 def path_edges(n: int) -> list[tuple[int, int]]:

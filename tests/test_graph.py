@@ -1,15 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from graphgen import (
     FIXTURE_EDGES,
     FIXTURE_PRIVATE,
+    RUNNERS,
     path_edges,
     random_connected_edges,
     star_edges,
 )
 from oracles import flood_fill_public_clusters
 
+import privwalk
 from privwalk import (
     ExperimentConfig,
     GraphError,
@@ -182,34 +190,49 @@ def test_star_cluster_degrees():
     assert view.public_degree[0] == 4
 
 
-def test_one_search_and_no_labeling_when_the_hub_cluster_holds_every_public_node(monkeypatch):
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_one_cluster_pass_per_call(monkeypatch, runner):
     from privwalk import graph
 
+    calls = []
+    lib = graph._kernels()
+    if runner == "python" or lib is None:
+        twin = graph._cluster_pass
+        monkeypatch.setattr(graph, "_kernels", lambda: None)
+        monkeypatch.setattr(graph, "_cluster_pass", lambda *a: calls.append(a) or twin(*a))
+    else:
+        counted = SimpleNamespace(
+            privwalk_clusters=lambda *a: calls.append(a) or lib.privwalk_clusters(*a))
+        monkeypatch.setattr(graph, "_kernels", lambda: counted)
     all_public = build_graph(random_connected_edges(200, 400, seed=5), [False] * 200)
     # the star's leaves 20..29 are private; every public node touches the hub
     star = build_graph(star_edges(30), [False] * 20 + [True] * 10)
-    calls = {}
-
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return counted
-
-    monkeypatch.setattr(graph, "breadth_first_order", counting("bfs", graph.breadth_first_order))
-    monkeypatch.setattr(
-        graph, "connected_components", counting("components", graph.connected_components)
-    )
     for g in (all_public, star):
-        calls.update(bfs=0, components=0)
+        calls.clear()
         assert largest_public_cluster(g).member_count == g.node_count - g.private_count
-        assert calls == {"bfs": 1, "components": 0}
-    # public nodes the search leaves behind take one labeling call
+        assert len(calls) == 1
+    # public nodes outside the largest cluster take no second pass
     fixture = build_graph(FIXTURE_EDGES, FIXTURE_PRIVATE)
-    calls.update(bfs=0, components=0)
+    calls.clear()
     assert largest_public_cluster(fixture).cluster_census == ((5, 1), (2, 1), (1, 1))
-    assert calls == {"bfs": 1, "components": 1}
+    assert len(calls) == 1
+
+
+def test_privwalk_imports_without_scipy():
+    # scipy is a test dependency only; no module under src may import it
+    code = (
+        "import pkgutil, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import privwalk\n"
+        "for m in pkgutil.walk_packages(privwalk.__path__, 'privwalk.'):\n"
+        "    __import__(m.name)\n"
+        "print(sorted(n for n in sys.modules if n.startswith('privwalk.')))\n"
+    )
+    src = str(Path(privwalk.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert "'privwalk.walk'" in out.stdout and "'privwalk.cli'" in out.stdout
 
 
 @pytest.mark.parametrize(

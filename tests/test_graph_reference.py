@@ -1,7 +1,9 @@
 """The CSR builders, the edge pairs and the public-cluster decomposition
 against their per-edge, two-sort, per-row and flood-fill references, on
-random inputs and on fixed cases for each branch of the decomposition."""
+random inputs and on fixed cases for each branch of the decomposition;
+the decomposition under both runners of its cluster pass."""
 
+import shutil
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -11,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphgen import random_connected_edges
+from graphgen import RUNNERS, random_connected_edges
 from oracles import reference_build_graph, reference_edge_list, reference_public_cluster
 
 from privwalk import (
     GraphError,
     IngestError,
+    LabeledGraph,
     PublicClusterView,
     assign_labels_bernoulli,
     build_graph,
@@ -168,22 +171,65 @@ def labeled_graphs(draw):
     return edges, g
 
 
+def _same_view(got, want):
+    for f in fields(PublicClusterView):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            _same_array(a, b)
+        else:
+            assert type(a) is type(b) and a == b, f.name
+
+
+def _matches_reference(edges, g):
+    """``largest_public_cluster(g)`` under each runner equals the flood-fill
+    reference on ``edges``."""
+    for runner in RUNNERS.values():
+        with runner():
+            if g.is_private.all():
+                with pytest.raises(GraphError, match="no public node"):
+                    largest_public_cluster(g)
+            else:
+                _same_view(largest_public_cluster(g),
+                           reference_public_cluster(edges, g.is_private.tolist()))
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(labeled_graphs())
 def test_largest_public_cluster_matches_flood_fill_reference(case):
-    edges, g = case
-    if g.is_private.all():
-        with pytest.raises(GraphError, match="no public node"):
-            largest_public_cluster(g)
-        return
-    view = largest_public_cluster(g)
-    ref = reference_public_cluster(edges, g.is_private.tolist())
-    for f in fields(PublicClusterView):
-        got, want = getattr(view, f.name), getattr(ref, f.name)
-        if isinstance(want, np.ndarray):
-            _same_array(got, want)
-        else:
-            assert type(got) is type(want) and got == want, f.name
+    _matches_reference(*case)
+
+
+@st.composite
+def accepted_csrs(draw):
+    """Any CSR and labels that ``LabeledGraph`` accepts: rows unsorted, entries
+    one-way, repeated or on the diagonal, and empty rows."""
+    n = draw(st.integers(0, 30))
+    degrees = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    indices = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=sum(degrees),
+                            max_size=sum(degrees)))
+    labels = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return LabeledGraph(np.cumsum([0] + degrees), np.array(indices, dtype=np.int64),
+                        np.array(labels, dtype=bool))
+
+
+def _view_or_error(g):
+    try:
+        return largest_public_cluster(g)
+    except GraphError as e:
+        return str(e)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler to build the pass")
+@settings(max_examples=300, deadline=None, database=None)
+@given(accepted_csrs())
+def test_compiled_cluster_pass_matches_its_python_twin(g):
+    want = _view_or_error(g)
+    with RUNNERS["python"]():
+        got = _view_or_error(g)
+    if isinstance(want, str):
+        assert got == want == "graph has no public node"
+    else:
+        _same_view(got, want)
 
 
 def _star(center, leaves):
@@ -194,8 +240,9 @@ def _path(nodes):
     return list(zip(nodes, nodes[1:]))
 
 
-# edges and private nodes that steer largest_public_cluster down each of
-# its branches; the search starts from the node with most public neighbors
+# edges and private nodes for each way the largest cluster can be picked;
+# the hub is the node with most public neighbors, whose cluster may lose,
+# tie and win or tie and lose on the smallest id
 BRANCH_CASES = {
     # a private ring 5-6-7 cuts the star of hub 0 off from a 7-node path
     "hub_cluster_is_not_the_largest": (
@@ -230,17 +277,4 @@ BRANCH_CASES = {
 def test_largest_public_cluster_branches_match_reference(name):
     edges, private = BRANCH_CASES[name]
     n = 1 + max(max(e) for e in edges)
-    labels = [v in private for v in range(n)]
-    g = build_graph(edges, labels)
-    if len(private) == n:
-        with pytest.raises(GraphError, match="no public node"):
-            largest_public_cluster(g)
-        return
-    view = largest_public_cluster(g)
-    ref = reference_public_cluster(edges, labels)
-    for f in fields(PublicClusterView):
-        got, want = getattr(view, f.name), getattr(ref, f.name)
-        if isinstance(want, np.ndarray):
-            _same_array(got, want)
-        else:
-            assert type(got) is type(want) and got == want, f.name
+    _matches_reference(edges, build_graph(edges, [v in private for v in range(n)]))

@@ -1,5 +1,6 @@
 import logging
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from privwalk import (
     GraphError,
     LabeledGraph,
     PubdegMode,
+    PublicClusterView,
     StuckWalkError,
     assign_labels_bernoulli,
     build_graph,
@@ -20,7 +22,7 @@ from privwalk import (
     run_walk,
     stationary_distribution,
 )
-from privwalk import walk
+from privwalk import graph, walk
 
 MODES = (PubdegMode.EXACT_IDEAL, PubdegMode.EXACT_HIDDEN, PubdegMode.APPROX_HIDDEN)
 
@@ -211,7 +213,9 @@ def _block_crossing_walk():
 
 def test_the_compiled_loop_is_built_wherever_a_compiler_is_found():
     # a silent fallback would keep every output and lose the speed
-    assert shutil.which("cc") is None or walk._kernel() is not None
+    if shutil.which("cc") is not None:
+        lib = graph._kernels()
+        assert lib is not None and lib.privwalk_select and lib.privwalk_clusters
 
 
 # a `cc` script on an otherwise empty PATH, and what the one debug line names
@@ -220,7 +224,7 @@ FAKE_COMPILERS = {
     "compiler_fails": ("#!/bin/sh\nexit 1\n", "non-zero exit status 1"),
     "library_does_not_load": (
         '#!/bin/sh\nwhile [ $# -gt 0 ]; do [ "$1" = -o ] && echo junk > "$2"; shift; done\n',
-        "_select.so: ",
+        "_kernels.so: ",
     ),
 }
 
@@ -229,22 +233,26 @@ FAKE_COMPILERS = {
 def test_a_failed_build_falls_back_to_the_python_loop(tmp_path, monkeypatch, caplog, script,
                                                       cause):
     args = _block_crossing_walk()
-    want = walk._select(*args)
+    want = walk._select(*args), largest_public_cluster(args[0])
     if script is not None:
         cc = tmp_path / "cc"
         cc.write_text(script)
         cc.chmod(0o755)
     monkeypatch.setenv("PATH", str(tmp_path))
-    caplog.set_level(logging.DEBUG, logger=walk.__name__)
-    walk._kernel.cache_clear()
+    caplog.set_level(logging.DEBUG, logger=graph.__name__)
+    graph._kernels.cache_clear()
     try:  # pyproject.toml turns any warning into an error
-        assert walk._kernel() is None
-        got = walk._select(*args)
+        assert graph._kernels() is None
+        got = walk._select(*args), largest_public_cluster(args[0])
     finally:
-        walk._kernel.cache_clear()  # the next call builds with the real PATH
-    assert np.array_equal(got, want)
+        graph._kernels.cache_clear()  # the next call builds with the real PATH
+    assert np.array_equal(got[0], want[0])
+    for f in fields(PublicClusterView):
+        assert np.array_equal(getattr(got[1], f.name), getattr(want[1], f.name)), f.name
     [record] = caplog.records
-    assert record.levelno == logging.DEBUG and cause in record.getMessage()
+    message = record.getMessage()
+    assert record.levelno == logging.DEBUG and cause in message
+    assert "selection step and the cluster pass run in Python" in message
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
@@ -253,7 +261,7 @@ def test_a_pick_past_the_csr_end_raises_in_both_runners(monkeypatch, compiled):
     # would read past indices, which both steps refuse
     g = LabeledGraph([0, 1, 3, 3], [1, 0, 2], np.zeros(3, dtype=bool))
     if not compiled:
-        monkeypatch.setattr(walk, "_kernel", lambda: None)
+        monkeypatch.setattr(graph, "_kernels", lambda: None)
     with pytest.raises(IndexError):
         walk._select(g, 0, 100, 0)
 
@@ -263,7 +271,7 @@ def test_an_empty_row_stops_the_walk_in_both_runners(monkeypatch, compiled):
     # row 2 is empty but not last: a pick from 2 would read row 3's entry
     g = LabeledGraph([0, 1, 3, 3, 4], [1, 0, 2, 1], np.zeros(4, dtype=bool))
     if not compiled:
-        monkeypatch.setattr(walk, "_kernel", lambda: None)
+        monkeypatch.setattr(graph, "_kernels", lambda: None)
     with pytest.raises(IndexError, match="^node 2 has no neighbor to select$"):
         walk._select(g, 0, 30, 0)
     # a walk whose trailing hit is node 2 selects nothing from it

@@ -1,13 +1,10 @@
 """The lean walk against the facade-driven reference walk, on random inputs."""
 
-from contextlib import nullcontext
-from unittest import mock
-
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from graphgen import random_connected_edges
+from graphgen import RUNNERS, random_connected_edges
 from oracles import ReferenceLedger, reference_walk
 
 from privwalk import (
@@ -19,14 +16,7 @@ from privwalk import (
     largest_public_cluster,
     run_walk,
 )
-from privwalk import walk
 from privwalk.walk import _record, _selections
-
-# the compiled selection loop, and the Python loop it falls back to
-RUNNERS = {
-    "compiled": nullcontext,
-    "python": lambda: mock.patch.object(walk, "_kernel", lambda: None),
-}
 
 
 @st.composite
