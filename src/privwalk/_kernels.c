@@ -3,9 +3,10 @@
  * clusters of a labeled graph.
  *
  * privwalk.graph._kernels builds this file with the system C compiler once
- * per process and loads it through ctypes. Each function has a
- * line-for-line Python twin, which runs only when that build fails:
- * walk._select_block for privwalk_select and graph._cluster_pass for
+ * per process and loads it through ctypes; privwalk.graph._run is the one
+ * caller of both functions. Each has a line-for-line Python twin in
+ * graph.py, which _run calls instead only when that build fails:
+ * _select_block for privwalk_select and _cluster_pass for
  * privwalk_clusters.
  *
  * Bounds: LabeledGraph accepts only a CSR whose indptr is monotone with

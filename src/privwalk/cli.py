@@ -255,7 +255,8 @@ def main(argv=None) -> int:
         if getattr(args, "lenient", False) and not args.label_file:
             raise ValueError("--lenient requires --label-file")
         return args.func(args)
-    except (GraphError, IngestError, NoCollisionError, StuckWalkError, ValueError, OSError) as e:
+    except (GraphError, IngestError, NoCollisionError, StuckWalkError, ValueError, OSError,
+            MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -7,12 +7,12 @@ graph; relabeling shares it. This module builds the CSR from edge pairs
 and answers every component question with :func:`largest_public_cluster`:
 the connectivity check of :func:`build_graph`, the largest component
 that edge-list ingest keeps, and the public cluster of each trial. That
-call is one union-find pass over the CSR, a small C function
-(``_kernels.c``) or its line-for-line Python twin when no compiler is
-found or the build fails; :func:`_kernels` builds the library, which
-holds the walk's selection step too. All arrays are frozen after
-construction and a graph caches nothing, so graphs and cluster views can
-be shared freely across threads and worker processes.
+call is one union-find pass over the CSR. It and the walk's neighbor
+selection are the two compiled steps of ``_kernels.c``, and :func:`_run`
+is their one call path: the library that :func:`_kernels` builds, or each
+step's line-for-line Python twin in this module when that build fails.
+All arrays are frozen after construction and a graph caches nothing, so
+graphs and cluster views can be shared freely across threads and processes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import copy
 import ctypes
 import itertools
 import logging
-import operator
 import shutil
 import subprocess
 import tempfile
@@ -81,9 +80,10 @@ class LabeledGraph:
 
     ``is_private[v]`` is True when node ``v`` hides its neighbor list.
     ``indptr``/``indices`` hold the full symmetric adjacency (see the
-    module docstring). The constructor rejects a malformed CSR or label
-    vector with :class:`GraphError`. Instances are immutable; relabeling
-    returns a new graph that shares every adjacency array.
+    module docstring). The constructor rejects a malformed CSR, label
+    vector or original-id vector with :class:`GraphError`. Instances are
+    immutable; relabeling returns a new graph that shares every adjacency
+    array.
     """
 
     __slots__ = ("indptr", "indices", "degrees", "is_private", "orig_ids")
@@ -103,7 +103,13 @@ class LabeledGraph:
         self.indices = _freeze(indices)
         self.degrees = _freeze(degrees)
         self.is_private = _freeze(is_private)
-        self.orig_ids = _freeze(np.asarray(orig_ids)) if orig_ids is not None else None
+        if orig_ids is not None:
+            orig_ids = np.asarray(orig_ids)
+            if orig_ids.shape != degrees.shape:
+                raise GraphError(f"original ids have shape {orig_ids.shape}, "
+                                 f"expected {degrees.shape}")
+            orig_ids = _freeze(orig_ids)
+        self.orig_ids = orig_ids
 
     # -- basic shape ---------------------------------------------------
 
@@ -299,24 +305,18 @@ def largest_public_cluster(g: LabeledGraph) -> PublicClusterView:
     to the cluster holding the smallest node id. Raises
     :class:`GraphError` when the graph has no public node.
 
-    One union-find pass over the CSR (``privwalk_clusters`` of
-    :func:`_kernels`, or its Python twin :func:`_cluster_pass`) gives
-    each public node the smallest node of its cluster as its root, and
-    each public row its count of public entries. A public node's public
-    neighbors all lie in its own cluster, so that count is its public
-    degree. One ``bincount`` of the roots gives every cluster's size at
-    its root, whose id is the cluster's smallest, so ``argmax`` keeps the
-    tie rule.
+    One union-find pass over the CSR (``privwalk_clusters``, through
+    :func:`_run`) gives each public node the smallest node of its cluster
+    as its root, and each public row its count of public entries. A public
+    node's public neighbors all lie in its own cluster, so that count is
+    its public degree. One ``bincount`` of the roots gives every cluster's
+    size at its root, whose id is the cluster's smallest, so ``argmax``
+    keeps the tie rule.
     """
     n = g.node_count
     root = np.empty(n, dtype=np.int64)  # n marks a private node
     pub_deg = np.empty(n, dtype=np.int64)
-    lib = _kernels()
-    if lib is None:  # the Python twin indexes the arrays through their buffers
-        step, ref = _cluster_pass, memoryview
-    else:  # the compiled pass takes their addresses
-        step, ref = lib.privwalk_clusters, operator.attrgetter("ctypes.data")
-    step(ref(g.indptr), ref(g.indices), ref(g.is_private), n, ref(root), ref(pub_deg))
+    _run("privwalk_clusters", g.indptr, g.indices, g.is_private, n, root, pub_deg)
     sizes = np.bincount(root, minlength=n + 1)  # nonzero at each root only
     sizes[n] = 0  # the private nodes, which form no cluster
     best = int(np.argmax(sizes))
@@ -336,6 +336,38 @@ def largest_public_cluster(g: LabeledGraph) -> PublicClusterView:
         public_degree_sum=int(public_degree.sum()),
         cluster_census=census,
     )
+
+
+def _run(name: str, *args):
+    """Call step ``name`` of :func:`_kernels` on each array's address or, when
+    that is None, its Python twin on each array's buffer; return its result.
+    """
+    lib = _kernels()
+    if lib is None:  # looked up at each call, so a patched twin runs
+        twins = {"privwalk_select": _select_block, "privwalk_clusters": _cluster_pass}
+        step, ref = twins[name], memoryview
+    else:
+        step, ref = getattr(lib, name), lambda a: a.ctypes.data
+    return step(*(ref(a) if isinstance(a, np.ndarray) else a for a in args))
+
+
+def _select_block(indptr, indices, is_private, u, nu, r, state, out) -> int:
+    """``privwalk_select`` of ``_kernels.c``, line for line, on buffers."""
+    at, done, k = state[0], state[1], 0
+    lo = indptr[at]
+    deg = indptr[at + 1] - lo
+    while deg > 0 and done < r and k < nu:
+        v = indices[lo + int(u[k] * deg)]
+        out[k] = v
+        k += 1
+        if not is_private[v]:
+            at = v
+            done += 1
+            lo = indptr[at]
+            deg = indptr[at + 1] - lo
+    state[0] = at
+    state[1] = done
+    return -1 if deg == 0 and done < r else k
 
 
 def _cluster_pass(indptr, indices, is_private, n, root, pub_deg) -> None:
@@ -392,10 +424,15 @@ def _kernels():
         try:
             subprocess.run([cc, "-O2", "-shared", "-fPIC", "-o", str(path), str(source)],
                            check=True, capture_output=True)
-            lib = ctypes.CDLL(str(path))
+            return _load(path)
         except (OSError, subprocess.SubprocessError) as e:
             log.debug("cannot build %s (%s); %s", source, e, fallback)
             return None
+
+
+def _load(path) -> ctypes.CDLL:
+    """Load a library built from ``_kernels.c`` and declare its steps."""
+    lib = ctypes.CDLL(str(path))
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     lib.privwalk_select.restype = i64
     lib.privwalk_select.argtypes = [ptr, ptr, ptr, ptr, i64, i64, ptr, ptr]

@@ -13,23 +13,22 @@ approximate mode the public degree of a sampled node is estimated as
 exhaustively.
 
 The walk itself is one block loop over the CSR arrays that records
-every neighbor selection and nothing else. Each block of uniforms goes
-to one step: a small C function in ``_kernels.c``, built with the system
-compiler on first use (:func:`privwalk.graph._kernels`), or its
-line-for-line Python twin when no compiler is found or the build fails.
-Both pick the same neighbors, so their selections are identical bit for
-bit, and both stop at a node without neighbors, where the walk raises.
-One NumPy pass over that record derives the node sequence, the tries
-per sample, the degrees and the selection counters once, then each
-requested mode's public degrees and query ledger. They take the same values, under the same query
-conventions, as charging each query as it happens; ``tests/oracles.py``
-holds that query-by-query reference, which defines the conventions and
-against which the tests hold this walk.
+every neighbor selection and nothing else. Each block of uniforms goes,
+with the plain arrays, to the selection step through
+:func:`privwalk.graph._run`, the one call path into the compiled steps
+and their Python twins. The compiled step and its twin select the same
+neighbors bit for bit, and both stop at a node without neighbors, where
+the walk raises. One NumPy pass over that record derives the node
+sequence, the tries per sample, the degrees and the selection counters
+once, then each requested mode's public degrees and query ledger. They
+take the same values, under the same query conventions, as charging
+each query as it happens; ``tests/oracles.py`` holds that query-by-query
+reference, which defines the conventions and against which the tests
+hold this walk.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -310,21 +309,13 @@ def _select(g: LabeledGraph, seed_node: int, r: int, rng_seed) -> np.ndarray:
     of ``_RAND_BLOCK`` uniforms. Raises IndexError naming the node when
     the walk must select from a node without neighbors.
 
-    Each block goes to one step: ``privwalk_select`` of
-    :func:`privwalk.graph._kernels`, or its Python twin
-    :func:`_select_block` when that cannot be built. Both
-    take the same uniforms and compute each pick in double precision, so
-    the two runners return the same array for every seed.
+    Each block goes to ``privwalk_select`` through :func:`privwalk.graph._run`;
+    its compiled form and its Python twin compute each pick in double
+    precision, so they return the same array for every seed.
     """
     rng = np.random.default_rng(rng_seed)
-    lib = graph._kernels()
-    if lib is None:  # the Python twin indexes the arrays through their buffers
-        step, ref = _select_block, memoryview
-    else:  # the compiled step takes their addresses
-        step, ref = lib.privwalk_select, operator.attrgetter("ctypes.data")
     u = np.empty(_RAND_BLOCK)
     state = np.array([seed_node, 0], dtype=np.int64)  # node walked from, samples done
-    fixed = (ref(g.indptr), ref(g.indices), ref(g.is_private), ref(u), _RAND_BLOCK, r, ref(state))
     out = np.empty(r + _RAND_BLOCK, dtype=np.int64)  # each sample selects at least once
     n = 0
     while state[1] < r:
@@ -333,30 +324,12 @@ def _select(g: LabeledGraph, seed_node: int, r: int, rng_seed) -> np.ndarray:
             grown[:n] = out[:n]
             out = grown
         rng.random(out=u)
-        k = step(*fixed, ref(out[n:]))
+        k = graph._run("privwalk_select", g.indptr, g.indices, g.is_private, u, _RAND_BLOCK, r,
+                       state, out[n:])
         if k < 0:
             raise IndexError(f"node {state[0]} has no neighbor to select")
         n += k
     return out[:n]
-
-
-def _select_block(indptr, indices, is_private, u, nu, r, state, out) -> int:
-    """``privwalk_select`` of ``_kernels.c``, line for line, on buffers."""
-    at, done, k = state[0], state[1], 0
-    lo = indptr[at]
-    deg = indptr[at + 1] - lo
-    while deg > 0 and done < r and k < nu:
-        v = indices[lo + int(u[k] * deg)]
-        out[k] = v
-        k += 1
-        if not is_private[v]:
-            at = v
-            done += 1
-            lo = indptr[at]
-            deg = indptr[at + 1] - lo
-    state[0] = at
-    state[1] = done
-    return -1 if deg == 0 and done < r else k
 
 
 def _charge(

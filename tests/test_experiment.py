@@ -249,6 +249,25 @@ def test_cli_rejects_bad_walk_and_estimate_args(tmp_path, capsys, argv, message)
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["walk", "experiment"])
+def test_cli_reports_an_infeasible_walk_length_in_one_line(tmp_path, capsys, command):
+    from privwalk.cli import main
+
+    # the walk's selection buffer would take 7.11 PiB, more than the address
+    # space, so its allocation fails before any page is touched
+    edges = tmp_path / "edges.txt"
+    write_edge_file(edges, random_connected_edges(20, 30, seed=3))
+    if command == "walk":
+        argv = ["walk", str(edges), "--length", str(10**15)]
+    else:
+        config = _write_config(tmp_path, f"dataset = {edges}\nsample_size = {10**15}\n"
+                                         f"trials = 1\noutdir = {tmp_path / 'out'}\n")
+        argv = ["experiment", str(config)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["labels", "theory"])
 def test_cli_rejects_negative_label_seed(tmp_path, capsys, command):
     from privwalk.cli import main

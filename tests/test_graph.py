@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -267,3 +268,13 @@ def test_labeled_graph_stores_contiguous_int64_arrays():
     assert g.is_private.tolist() == [True, False, False]
     with pytest.raises(GraphError, match="label vector length"):
         g.with_labels([False, True])
+
+
+@pytest.mark.parametrize("orig_ids", [[7], [7, 8, 9], [[7, 8]], 7], ids=str)
+def test_labeled_graph_rejects_original_ids_of_another_shape(orig_ids):
+    # save_labels writes one line per original id, so each node needs one
+    message = f"original ids have shape {np.shape(orig_ids)}, expected (2,)"
+    with pytest.raises(GraphError, match=re.escape(message)):
+        LabeledGraph([0, 1, 2], [1, 0], [False, False], orig_ids=orig_ids)
+    g = LabeledGraph([0, 1, 2], [1, 0], [False, False], orig_ids=[7, 8])
+    assert g.orig_ids.tolist() == [7, 8] and not g.orig_ids.flags.writeable
