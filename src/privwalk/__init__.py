@@ -3,10 +3,8 @@
 from .estimators import (
     EstimateReport,
     NoCollisionError,
-    avg_degree_estimates,
     build_report,
     default_gap_threshold,
-    size_estimates,
 )
 from .experiment import (
     ESTIMATOR_NAMES,

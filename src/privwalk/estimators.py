@@ -1,5 +1,8 @@
 """Size, average-degree and privacy-rate estimators over walk records.
 
+:func:`build_report` is the one entry point: it computes every estimate
+below from one record in one pass and returns an :class:`EstimateReport`.
+
 The size estimators average indicator and weight terms over all ordered
 index pairs (k, l) with |k - l| >= m, where the gap threshold m discards
 pairs too close along the walk to be treated as independent:
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,14 +38,6 @@ from .walk import WalkRecord
 
 class NoCollisionError(RuntimeError):
     """No node collision among the admissible index pairs; size undefined."""
-
-
-class _SizeEstimates(NamedTuple):
-    collision_mean: float
-    weight_mean_prior: float
-    weight_mean_proposed: float
-    size_nc: float
-    size_proposed: float
 
 
 @dataclass(frozen=True)
@@ -132,8 +126,19 @@ def _check_positive(values: np.ndarray, what: str) -> None:
         raise ValueError(f"every sample needs a positive {what}")
 
 
-def _size_estimates(record: WalkRecord, m: int, inv: np.ndarray) -> _SizeEstimates:
+def build_report(record: WalkRecord, m: int | None = None) -> EstimateReport:
+    """Compute all estimates of one record; ``m`` defaults to
+    :func:`default_gap_threshold` of the record length.
+
+    The checks run in this order: the gap threshold, the public degrees,
+    the collision count (:class:`NoCollisionError`), then the degrees.
+    """
     r = record.r
+    if m is None:
+        m = default_gap_threshold(r)
+    _check_gap(r, m)
+    _check_positive(record.public_degrees, "public-degree value")
+    inv = 1.0 / record.public_degrees
     pairs = _pair_count(r, m)
     collisions = _collision_pairs(record.nodes, m)
 
@@ -157,48 +162,21 @@ def _size_estimates(record: WalkRecord, m: int, inv: np.ndarray) -> _SizeEstimat
             f"no node collision among pairs with gap >= {m} in {r} samples"
         )
     phi = collisions / pairs
-    return _SizeEstimates(phi, psi_prior, psi_proposed, psi_prior / phi, psi_proposed / phi)
+    size_nc, size_proposed = psi_prior / phi, psi_proposed / phi
 
-
-def _harmonic_means(record: WalkRecord, inv: np.ndarray) -> tuple[float, float]:
-    r = record.r
-    return r / float(np.sum(inv)), r / float(np.sum(1.0 / record.degrees))
-
-
-def size_estimates(record: WalkRecord, m: int) -> _SizeEstimates:
-    """Collision mean, both weight means, and both size estimates.
-
-    Raises :class:`NoCollisionError` when no admissible pair collides.
-    """
-    _check_gap(record.r, m)
-    _check_positive(record.public_degrees, "public-degree value")
-    return _size_estimates(record, m, 1.0 / record.public_degrees)
-
-
-def avg_degree_estimates(record: WalkRecord) -> tuple[float, float]:
-    """Harmonic-mean average-degree estimates: (prior, proposed)."""
     _check_positive(record.degrees, "degree")
-    _check_positive(record.public_degrees, "public-degree value")
-    return _harmonic_means(record, 1.0 / record.public_degrees)
-
-
-def build_report(record: WalkRecord, m: int | None = None) -> EstimateReport:
-    """Compute all estimates of one record; ``m`` defaults to
-    :func:`default_gap_threshold` of the record length."""
-    if m is None:
-        m = default_gap_threshold(record.r)
-    _check_gap(record.r, m)
-    _check_positive(record.public_degrees, "public-degree value")
-    inv = 1.0 / record.public_degrees
-    size = _size_estimates(record, m, inv)
-    _check_positive(record.degrees, "degree")
-    smooth, proposed = _harmonic_means(record, inv)
+    smooth = r / float(np.sum(inv))
+    proposed = r / float(np.sum(1.0 / record.degrees))
     return EstimateReport(
-        **size._asdict(),
+        collision_mean=phi,
+        weight_mean_prior=psi_prior,
+        weight_mean_proposed=psi_proposed,
+        size_nc=size_nc,
+        size_proposed=size_proposed,
         avg_degree_smooth=smooth,
         avg_degree_proposed=proposed,
-        privacy_rate_size=1.0 - size.size_nc / size.size_proposed,
+        privacy_rate_size=1.0 - size_nc / size_proposed,
         privacy_rate_avg_degree=1.0 - smooth / proposed,
         gap_threshold=m,
-        sample_count=record.r,
+        sample_count=r,
     )

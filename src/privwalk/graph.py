@@ -49,6 +49,20 @@ def _check_rate(p: float, name: str = "privacy rate") -> None:
         raise GraphError(f"{name} must lie in [0, 1], got {p}")
 
 
+def _cast(a, dtype, what: str) -> np.ndarray:
+    """``a`` as a contiguous ``dtype`` array, or :class:`GraphError` where the
+    cast would change a value: it truncates floats and takes strings and
+    integers other than 0 and 1 as True. A contiguous ``dtype`` array is kept."""
+    a = np.asarray(a)
+    if a.size and a.dtype != dtype and (
+            a.dtype.kind not in "iu" or dtype == bool and ((a != 0) & (a != 1)).any()):
+        raise GraphError(f"{what}, got {a.dtype} values")
+    return np.ascontiguousarray(a, dtype=dtype)
+
+
+_LABELS = "privacy labels must be booleans or the integers 0 and 1"
+
+
 def _check_csr(indptr: np.ndarray, indices: np.ndarray, is_private: np.ndarray) -> np.ndarray:
     """Raise :class:`GraphError` unless ``indptr``/``indices`` form a CSR over
     ``0..n-1`` with one label per node; return the row degrees.
@@ -95,9 +109,9 @@ class LabeledGraph:
         is_private: np.ndarray,
         orig_ids: np.ndarray | None = None,
     ):
-        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(indices, dtype=np.int64)
-        is_private = np.ascontiguousarray(is_private, dtype=bool)
+        indptr = _cast(indptr, np.int64, "CSR indptr must hold integers")
+        indices = _cast(indices, np.int64, "CSR indices must hold integers")
+        is_private = _cast(is_private, bool, _LABELS)
         degrees = _check_csr(indptr, indices, is_private)
         self.indptr = _freeze(indptr)
         self.indices = _freeze(indices)
@@ -159,7 +173,7 @@ class LabeledGraph:
 
     def with_labels(self, is_private: np.ndarray) -> "LabeledGraph":
         """New graph that shares this one's adjacency arrays, with new privacy labels."""
-        is_private = np.ascontiguousarray(is_private, dtype=bool)
+        is_private = _cast(is_private, bool, _LABELS)
         if is_private.shape != (self.node_count,):
             raise GraphError("label vector length does not match node count")
         g = copy.copy(self)
@@ -173,13 +187,14 @@ class LabeledGraph:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PublicClusterView:
     """Largest connected cluster of the public-induced subgraph.
 
     ``public_degree[v]`` counts the neighbors of ``v`` that are members of
     this cluster; it is zero outside the member set. ``cluster_census``
     lists ``(size, count)`` over all public clusters, largest size first.
+    A view compares and hashes by identity: its arrays have no truth value.
     """
 
     member_flag: np.ndarray
@@ -271,13 +286,13 @@ def build_graph(
     return g
 
 
-def _csr_from_pairs(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _csr_from_pairs(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric CSR ``(indptr, indices)`` with sorted rows.
 
-    Each pair ``lo < hi`` is an undirected edge over ``0..n-1``; pairs may
-    repeat, and a repeated edge is kept once.
+    Each pair ``(u, v)``, ``u != v``, in either order, is an undirected edge
+    over ``0..n-1``; pairs may repeat, and a repeated edge is kept once.
     """
-    key = np.concatenate([lo * n + hi, hi * n + lo])
+    key = np.concatenate([u * n + v, v * n + u])
     key.sort()
     key = key[np.concatenate(([True], key[1:] != key[:-1]))]
     src, dst = np.divmod(key, n)

@@ -112,12 +112,12 @@ def load_edge_list(path) -> LabeledGraph:
     The returned graph is all-public, connected (largest component),
     densely renumbered, with the original ids in ``graph.orig_ids``.
     """
-    # dense id space over both ends, sources first; the parsed columns are
-    # freed before the sort. _csr_from_pairs drops the repeated edges
+    # dense id space over both ends, sources first, the parsed columns freed
+    # before the sort; _csr_from_pairs takes either order, drops repeats
     ids, dense = np.unique(np.concatenate(_parsed(path, _numpy_edges, _line_edges)),
                            return_inverse=True)
     src, dst = np.split(dense, 2)
-    indptr, indices = _csr_from_pairs(np.minimum(src, dst), np.maximum(src, dst), ids.size)
+    indptr, indices = _csr_from_pairs(src, dst, ids.size)
     del src, dst, dense  # freed before the component search
     g = LabeledGraph(indptr, indices, np.zeros(ids.size, dtype=bool), orig_ids=ids)
 

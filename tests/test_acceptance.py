@@ -29,7 +29,6 @@ from privwalk import (
     PubdegMode,
     WalkRecord,
     assign_labels_bernoulli,
-    avg_degree_estimates,
     build_graph,
     build_report,
     convergence_values,
@@ -43,7 +42,6 @@ from privwalk import (
     load_sample_records,
     run_experiment,
     run_walk,
-    size_estimates,
     stationary_distribution,
 )
 
@@ -111,8 +109,8 @@ def test_criterion_01_exact_identities():
         )
         mode = modes[i % 3]
         rec = run_walk(g, mode.access_model, 0, 3000, mode, rng_seed=200 + i)
-        est = size_estimates(rec, max(1, math.ceil(0.025 * rec.r)))
-        smooth, proposed = avg_degree_estimates(rec)
+        est = build_report(rec, max(1, math.ceil(0.025 * rec.r)))
+        smooth, proposed = est.avg_degree_smooth, est.avg_degree_proposed
         worst = max(
             worst,
             abs(est.size_nc - est.size_proposed) / est.size_nc,
@@ -299,7 +297,7 @@ def test_criterion_09_estimator_equivalence_oracle():
         rec = WalkRecord(nodes, degs, pubs, PubdegMode.EXACT_HIDDEN)
         count, phi, psi, psi_hat = naive_pair_stats(nodes, degs, pubs, m)
         try:
-            est = size_estimates(rec, m)
+            est = build_report(rec, m)
         except NoCollisionError:
             assert count == 0
             continue

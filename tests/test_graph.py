@@ -183,6 +183,14 @@ def test_no_public_nodes_is_an_error():
         largest_public_cluster(g)
 
 
+def test_cluster_views_compare_and_hash_by_identity():
+    # array fields have no single truth value, so a view is equal only to itself
+    g = build_graph(path_edges(4), [False] * 4)
+    a, b = largest_public_cluster(g), largest_public_cluster(g)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
 def test_star_cluster_degrees():
     g = build_graph(star_edges(8), [False] * 8)
     gl = g.with_labels([False] + [False] * 4 + [True] * 3)
@@ -247,9 +255,15 @@ def test_privwalk_imports_without_scipy():
         ([0, 1, 2], [1, -1], 2, "index -1 lies outside 0..1"),
         ([0, 1, 2], [1, 0], 3, "label vector length"),
         ([[0, 1, 2]], [1, 0], 2, "1-D"),
+        # a cast would truncate 1.9 to 1 and load another graph
+        ([0, 1.9, 2.0], [1.7, 0.2], 2, "CSR indptr must hold integers, got float64 values"),
+        ([0, 1, 2], [1.0, 0.0], 2, "CSR indices must hold integers, got float64 values"),
+        ([0, 1, 2], [True, False], 2, "CSR indices must hold integers, got bool values"),
+        (["0", "1", "2"], [1, 0], 2, "CSR indptr must hold integers, got <U1 values"),
     ],
     ids=["first_not_zero", "decreasing", "last_too_small", "last_too_large", "index_too_large",
-         "negative_index", "label_length", "two_dimensional"],
+         "negative_index", "label_length", "two_dimensional", "float_indptr", "float_indices",
+         "bool_indices", "str_indptr"],
 )
 def test_labeled_graph_rejects_a_malformed_csr(indptr, indices, labels, message):
     # the walk reads the CSR without bounds checks, so the constructor guards it
@@ -268,6 +282,8 @@ def test_labeled_graph_stores_contiguous_int64_arrays():
     assert g.is_private.tolist() == [True, False, False]
     with pytest.raises(GraphError, match="label vector length"):
         g.with_labels([False, True])
+    g = LabeledGraph([0, 0], [], [True])  # an empty list holds no float
+    assert g.indices.dtype == np.int64 and g.indices.size == 0
 
 
 @pytest.mark.parametrize("orig_ids", [[7], [7, 8, 9], [[7, 8]], 7], ids=str)
@@ -278,3 +294,26 @@ def test_labeled_graph_rejects_original_ids_of_another_shape(orig_ids):
         LabeledGraph([0, 1, 2], [1, 0], [False, False], orig_ids=orig_ids)
     g = LabeledGraph([0, 1, 2], [1, 0], [False, False], orig_ids=[7, 8])
     assert g.orig_ids.tolist() == [7, 8] and not g.orig_ids.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (["private", "public"], "integers 0 and 1, got <U7 values"),
+        ([0.4, 2], "integers 0 and 1, got float64 values"),
+        ([0.0, 1.0], "integers 0 and 1, got float64 values"),
+        ([1, 2], "integers 0 and 1, got int64 values"),
+        (np.array([-1, 0], dtype=np.int8), "integers 0 and 1, got int8 values"),
+    ],
+    ids=["strings", "floats", "whole_floats", "two", "negative"],
+)
+def test_labels_are_booleans_or_zero_one(labels, message):
+    # a cast takes each value's truthiness, so "public", 0.4 and 2 read as private
+    with pytest.raises(GraphError, match=re.escape(message)):
+        LabeledGraph([0, 1, 2], [1, 0], labels)
+    g = LabeledGraph([0, 1, 2], [1, 0], [False, False])
+    with pytest.raises(GraphError, match=re.escape(message)):
+        g.with_labels(labels)
+    assert g.with_labels(np.array([1, 0], dtype=np.uint8)).is_private.tolist() == [True, False]
+    flags = np.array([False, True])
+    assert g.with_labels(flags).is_private is flags  # a bool vector is taken as it is

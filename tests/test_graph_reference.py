@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphgen import RUNNERS, random_connected_edges
@@ -101,6 +101,7 @@ def edge_files(draw):
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(edge_files())
+@example([(5, 2), (9, 5), (2, 5), (9, -1), (5, 2), (-1, 2)])  # mostly high id first
 def test_load_edge_list_matches_two_sort_reference(pairs):
     ref = reference_edge_list(pairs)
     with tempfile.TemporaryDirectory() as tmp:
