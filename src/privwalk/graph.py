@@ -7,10 +7,11 @@ graph; relabeling shares it. This module builds the CSR from edge pairs
 and answers every component question with :func:`largest_public_cluster`:
 the connectivity check of :func:`build_graph`, the largest component
 that edge-list ingest keeps, and the public cluster of each trial. That
-call is one union-find pass over the CSR. It and the walk's neighbor
-selection are the two compiled steps of ``_kernels.c``, and :func:`_run`
-is their one call path: the library that :func:`_kernels` builds, or each
-step's line-for-line Python twin in this module when that build fails.
+call is one union-find pass over the CSR. It, the walk's neighbor
+selection and the reader of edge and sample files are the three compiled
+steps of ``_kernels.c``, and :func:`_run` is their one call path: the
+library that :func:`_kernels` builds, or each step's Python twin in this
+module when that build fails.
 All arrays are frozen after construction and a graph caches nothing, so
 graphs and cluster views can be shared freely across threads and processes.
 """
@@ -210,16 +211,15 @@ class PublicClusterView:
 
 
 def _normalize_labels(labels: Sequence) -> np.ndarray:
-    """Accept booleans or 'public'/'private' strings; True means private."""
-    out = np.empty(len(labels), dtype=bool)
-    for i, lab in enumerate(labels):
+    """Accept 'public'/'private' strings and what :func:`_cast` takes as a
+    label: booleans and the integers 0 and 1. True means private."""
+    out = list(labels)
+    for i, lab in enumerate(out):
         if isinstance(lab, str):
             if lab not in ("public", "private"):
                 raise GraphError(f"unknown label {lab!r} at node {i}")
             out[i] = lab == "private"
-        else:
-            out[i] = bool(lab)
-    return out
+    return _cast(out, bool, _LABELS)
 
 
 def build_graph(
@@ -235,8 +235,9 @@ def build_graph(
     edges : iterable of (u, v)
         Undirected edges over node ids ``0..n-1`` where ``n = len(labels)``.
     labels : sequence
-        Per-node privacy flags; booleans (True = private) or the strings
-        ``"public"`` / ``"private"``.
+        Per-node privacy flags; booleans (True = private), the integers 0
+        and 1, or the strings ``"public"`` / ``"private"``. Any other label
+        raises :class:`GraphError`.
     drop_duplicates : bool
         When False (default) duplicate edges and self-loops raise
         :class:`GraphError`; when True they are silently dropped.
@@ -359,7 +360,8 @@ def _run(name: str, *args):
     """
     lib = _kernels()
     if lib is None:  # looked up at each call, so a patched twin runs
-        twins = {"privwalk_select": _select_block, "privwalk_clusters": _cluster_pass}
+        twins = {"privwalk_select": _select_block, "privwalk_clusters": _cluster_pass,
+                 "privwalk_read": _read_none}
         step, ref = twins[name], memoryview
     else:
         step, ref = getattr(lib, name), lambda a: a.ctypes.data
@@ -410,6 +412,14 @@ def _cluster_pass(indptr, indices, is_private, n, root, pub_deg) -> None:
             root[v] = root[root[v]]
 
 
+def _read_none(buf, size, cols, cap, state, a, b, x) -> int:
+    """``privwalk_read`` of ``_kernels.c`` deciding no line: it hands the
+    whole file, from byte 0 and line 1, on to the line parser."""
+    state[0] = 0
+    state[1] = 1
+    return 0
+
+
 def _find(root, v: int) -> int:
     """``find`` of ``_kernels.c``, line for line, on a buffer."""
     while root[v] != v:
@@ -422,16 +432,18 @@ def _find(root, v: int) -> int:
 def _kernels():
     """The library built from ``_kernels.c``, or None when it cannot be built.
 
-    It holds the walk's selection step, ``privwalk_select``, and the
-    cluster pass, ``privwalk_clusters``. The library is built once per
-    process, on first use, with the system C compiler into a private
-    temporary directory, which is deleted as soon as the library is
-    loaded.
+    It holds the walk's selection step, ``privwalk_select``, the cluster
+    pass, ``privwalk_clusters``, and the file reader, ``privwalk_read``.
+    The library is built once per process, on first use, with the system
+    C compiler into a private temporary directory, which is deleted as
+    soon as the library is loaded. A failed build is logged once, as a
+    warning, since every step then runs many times slower.
     """
-    fallback = "the walk's selection step and the cluster pass run in Python"
+    fallback = ("the walk's selection step, the cluster pass and the file reader run in "
+                "Python, and edge and sample files are read line by line")
     cc = shutil.which("cc")
     if cc is None:
-        log.debug("no C compiler found; %s", fallback)
+        log.warning("no C compiler found; %s", fallback)
         return None
     source = Path(__file__).with_name("_kernels.c")
     with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
@@ -441,7 +453,7 @@ def _kernels():
                            check=True, capture_output=True)
             return _load(path)
         except (OSError, subprocess.SubprocessError) as e:
-            log.debug("cannot build %s (%s); %s", source, e, fallback)
+            log.warning("cannot build %s (%s); %s", source, e, fallback)
             return None
 
 
@@ -453,4 +465,6 @@ def _load(path) -> ctypes.CDLL:
     lib.privwalk_select.argtypes = [ptr, ptr, ptr, ptr, i64, i64, ptr, ptr]
     lib.privwalk_clusters.restype = None
     lib.privwalk_clusters.argtypes = [ptr, ptr, ptr, i64, ptr, ptr]
+    lib.privwalk_read.restype = i64
+    lib.privwalk_read.argtypes = [ptr, i64, i64, i64, ptr, ptr, ptr, ptr]
     return lib

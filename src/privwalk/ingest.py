@@ -6,20 +6,22 @@ restriction to the largest connected component, and dense renumbering to
 0..n-1. The original ids are retained on the graph for label joining.
 Running the pipeline on its own output changes nothing.
 
-Edge lists and sample files are parsed by ``np.loadtxt`` first. Whenever
-NumPy rejects a file, or a check on its arrays fails, the line parser
-reads the whole file again: it decides every case NumPy does not accept,
-and raises the error that names the first bad line. Files are UTF-8.
+Edge lists and sample files are read by one compiled reader,
+``privwalk_read`` of ``_kernels.c``. It takes the file's bytes once and
+reads lines of ASCII decimal tokens, blank lines and comments up to the
+first line it cannot decide. From that line on the line parser reads the
+file, so the line parser's rules are the one grammar, and it raises the
+error that names the first bad line. Without a C compiler the line parser
+reads every line. Files are UTF-8.
 """
 
 from __future__ import annotations
 
-import itertools
+import io
 import logging
-import warnings
 
 import numpy as np
-from .graph import LabeledGraph, _csr_from_pairs, largest_public_cluster
+from .graph import LabeledGraph, _csr_from_pairs, _run, largest_public_cluster
 from .walk import PubdegMode, WalkRecord
 
 log = logging.getLogger(__name__)
@@ -31,11 +33,14 @@ class IngestError(ValueError):
     """A file could not be parsed; the message names the offending line."""
 
 
-def _data_lines(path):
+def _data_lines(path, raw=None, first: int = 1):
+    """``(lineno, stripped line)`` of each data line of the file at ``path``,
+    or of ``raw``, a binary stream of its lines from line ``first`` on."""
     # undecodable bytes stay in their line as lone surrogates, so the error
     # names the first bad line wherever the decoder's chunks happen to end
-    with open(path, encoding="utf-8", errors="surrogateescape") as f:
-        for lineno, line in enumerate(f, start=1):
+    with open(path, "rb") if raw is None else raw as f:
+        text = io.TextIOWrapper(f, encoding="utf-8", errors="surrogateescape")
+        for lineno, line in enumerate(text, start=first):
             if not line.isascii():
                 try:
                     line.encode()
@@ -54,32 +59,38 @@ def _check_int64(path, lineno: int, tokens, values) -> None:
             raise IngestError(f"{path}: line {lineno}: {token} is outside the int64 range")
 
 
-def _parsed(path, numpy_parse, line_parse):
-    """``numpy_parse`` of the file's uncommented lines, or ``line_parse(path)``
-    when NumPy raises or warns, or ``numpy_parse`` returns None."""
-    try:
-        with open(path, encoding="utf-8") as f, warnings.catch_warnings():
-            warnings.simplefilter("error")
-            # loadtxt's own ``comments=`` would also cut ``#`` out of mid-line
-            arrays = numpy_parse(
-                line for line in f if not line.lstrip().startswith(_COMMENT_PREFIXES)
-            )
-    except (ValueError, Warning):
-        arrays = None
-    return line_parse(path) if arrays is None else arrays
+def _read(path, dtypes, line_parse, what: str) -> list[np.ndarray]:
+    """One array of ``dtypes`` per column of the file's rows: ``privwalk_read``
+    reads them up to the first line it cannot decide, and
+    ``line_parse(path, raw, lineno)`` the rest, from ``raw``, a stream of
+    the bytes from that line on."""
+    with open(path, "rb") as f:  # read once: a pipe cannot be read again
+        data = f.read()
+    cap = data.count(b"\n") + 1  # at most one row a line
+    columns = [np.empty(cap, dtype) for dtype in dtypes]
+    state = np.zeros(2, dtype=np.int64)
+    x = columns[2] if len(columns) == 3 else None
+    k = _run("privwalk_read", np.frombuffer(data, dtype=np.uint8), len(data), len(columns), cap,
+             state, *columns[:2], x)
+    start, lineno = state.tolist()
+    columns = [c[:k] for c in columns]
+    if start < len(data):
+        raw = io.BytesIO(data)
+        raw.seek(start)
+        rest = line_parse(path, raw, lineno)
+        columns = [np.concatenate((c, np.asarray(r, dtype=c.dtype)))
+                   for c, r in zip(columns, rest)]
+    if not columns[0].size:
+        raise IngestError(f"{path}: no {what} found")
+    return columns
 
 
-def _numpy_edges(lines):
-    pairs = np.loadtxt(lines, dtype=np.int64, comments=None, usecols=(0, 1), ndmin=2)
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]  # drop self-loops
-    return (pairs[:, 0], pairs[:, 1]) if pairs.size else None
-
-
-def _line_edges(path) -> tuple[np.ndarray, np.ndarray]:
-    """``(src, dst)`` of every edge line but self-loops, parsed line by line."""
+def _line_edges(path, raw, first: int) -> tuple[list[int], list[int]]:
+    """``(src, dst)`` of every edge line but self-loops in ``raw``, the bytes
+    of ``path`` from line ``first`` on, parsed line by line."""
     srcs: list[int] = []
     dsts: list[int] = []
-    for lineno, s in _data_lines(path):
+    for lineno, s in _data_lines(path, raw, first):
         parts = s.split()
         if len(parts) < 2:
             raise IngestError(f"{path}: line {lineno}: expected 'src dst', got {s!r}")
@@ -94,9 +105,7 @@ def _line_edges(path) -> tuple[np.ndarray, np.ndarray]:
         _check_int64(path, lineno, parts, (u, v))
         srcs.append(u)
         dsts.append(v)
-    if not srcs:
-        raise IngestError(f"{path}: no edges found")
-    return np.asarray(srcs, dtype=np.int64), np.asarray(dsts, dtype=np.int64)
+    return srcs, dsts
 
 
 def load_edge_list(path) -> LabeledGraph:
@@ -106,16 +115,18 @@ def load_edge_list(path) -> LabeledGraph:
     ``%`` are comments. Ids are what Python's ``int`` accepts and must fit
     in int64. Extra columns after the first two (weights, timestamps) are
     ignored. Directions are removed, so ``u v`` and ``v u`` are the same
-    edge. NumPy parses the common file; the line parser decides any file
-    NumPy rejects, so the accepted grammar is the line parser's.
+    edge. The compiled reader reads the file up to the first line it
+    cannot decide and the line parser reads the rest, so the accepted
+    grammar is the line parser's.
 
     The returned graph is all-public, connected (largest component),
     densely renumbered, with the original ids in ``graph.orig_ids``.
     """
     # dense id space over both ends, sources first, the parsed columns freed
     # before the sort; _csr_from_pairs takes either order, drops repeats
-    ids, dense = np.unique(np.concatenate(_parsed(path, _numpy_edges, _line_edges)),
-                           return_inverse=True)
+    ids, dense = np.unique(
+        np.concatenate(_read(path, (np.int64, np.int64), _line_edges, "edges")),
+        return_inverse=True)
     src, dst = np.split(dense, 2)
     indptr, indices = _csr_from_pairs(src, dst, ids.size)
     del src, dst, dense  # freed before the component search
@@ -203,30 +214,13 @@ def save_labels(g: LabeledGraph, path) -> None:
             f.write(f"{int(orig)} {int(priv)}\n")
 
 
-_SAMPLE_FIELDS = [("node", np.int64), ("degree", np.int64), ("pubdeg", np.float64)]
-
-
-def _numpy_samples(lines):
-    # the first data line fixes the layout; a file that mixes both falls back
-    first = next((line for line in lines if not line.isspace()), "")
-    width = len(first.split())
-    if width not in (3, 4):
-        return None
-    fields = [("index", np.int64)] * (width - 3) + _SAMPLE_FIELDS
-    rows = np.loadtxt(itertools.chain([first], lines), dtype=fields, comments=None, ndmin=1)
-    v, d, ds = (np.ascontiguousarray(rows[name]) for name, _ in _SAMPLE_FIELDS)
-    # the line parser compares ``ds <= d`` exactly, as float64 does while d <= 2**53
-    if not np.all((0 < ds) & (ds <= d) & (d <= 2**53)):
-        return None
-    return v, d, ds
-
-
-def _line_samples(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(nodes, degrees, public_degrees)`` of a sample file, parsed line by line."""
+def _line_samples(path, raw, first: int) -> tuple[list[int], list[int], list[float]]:
+    """``(nodes, degrees, public_degrees)`` of the sample lines in ``raw``, the
+    bytes of ``path`` from line ``first`` on, parsed line by line."""
     nodes: list[int] = []
     degrees: list[int] = []
     pubdegs: list[float] = []
-    for lineno, s in _data_lines(path):
+    for lineno, s in _data_lines(path, raw, first):
         parts = s.split()
         if len(parts) == 4:
             parts = parts[1:]  # leading sample index
@@ -254,10 +248,7 @@ def _line_samples(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         nodes.append(v)
         degrees.append(d)
         pubdegs.append(ds)
-    if not nodes:
-        raise IngestError(f"{path}: no samples found")
-    return (np.asarray(nodes, dtype=np.int64), np.asarray(degrees, dtype=np.int64),
-            np.asarray(pubdegs, dtype=np.float64))
+    return nodes, degrees, pubdegs
 
 
 def load_sample_records(path) -> WalkRecord:
@@ -268,10 +259,11 @@ def load_sample_records(path) -> WalkRecord:
     Public degrees may be fractional but must be positive and finite and
     can never exceed the degree, so a degree of 0 is rejected too. Ids
     and degrees must fit in int64. Comments and encoding follow
-    :func:`load_edge_list`, and so does the parse: NumPy reads a file with
-    one layout throughout, and the line parser decides any other file.
+    :func:`load_edge_list`, and so does the parse: the compiled reader
+    reads up to the first line it cannot decide, the line parser the rest.
     The record is treated as exact hidden-model output; it carries no
     query ledger.
     """
-    nodes, degrees, public_degrees = _parsed(path, _numpy_samples, _line_samples)
+    nodes, degrees, public_degrees = _read(path, (np.int64, np.int64, np.float64),
+                                           _line_samples, "samples")
     return WalkRecord(nodes, degrees, public_degrees, PubdegMode.EXACT_HIDDEN)

@@ -82,6 +82,17 @@ def test_labels_from_strings():
         build_graph([(0, 1), (1, 2)], ["public", "Private", "public"])
 
 
+@pytest.mark.parametrize("labels, dtype", [([0.4, 2, 0.0], "float64"), ([1, 2, 0], "int64"),
+                                           ([None, 0, 1], "object")])
+def test_build_graph_takes_non_string_labels_by_the_cast_rule(labels, dtype):
+    # truthiness would read 0.4 and 2 as private and None as public
+    message = f"privacy labels must be booleans or the integers 0 and 1, got {dtype} values"
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        build_graph([(0, 1), (1, 2)], labels)
+    for ok in ([1, 0, True], ["private", 0, np.True_]):
+        assert build_graph([(0, 1), (1, 2)], ok).is_private.tolist() == [True, False, True]
+
+
 def test_bernoulli_extremes_are_exact():
     g = build_graph(path_edges(40), [False] * 40)
     assert assign_labels_bernoulli(g, 0.0, 1).private_count == 0

@@ -1,11 +1,16 @@
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from graphgen import write_edge_file
 
+import privwalk
 from privwalk import (
     IngestError,
     assign_labels_bernoulli,
@@ -109,6 +114,17 @@ def test_ids_beyond_int64_are_rejected_with_the_line(tmp_path, capsys, big):
         assert main([*argv, str(f)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {f}: line {line}: {big} is outside the int64 range\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_a_pipe_is_read_once():
+    # a pipe can be read only once; its line 3 goes to the line parser
+    env = {**os.environ, "PYTHONPATH": str(Path(privwalk.__file__).parents[1])}
+    cli = subprocess.run([sys.executable, "-m", "privwalk.cli", "ingest", "/dev/stdin"],
+                         input="1 2\n2 3\n1_000 3\n", capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert (cli.returncode, cli.stderr) == (0, "")
+    assert cli.stdout.startswith("nodes 4\nedges 3\n")
 
 
 def test_int64_extremes_still_load(tmp_path):

@@ -1,9 +1,10 @@
-"""The NumPy parse of the edge and sample loaders against their line parser.
+"""The compiled reader of the edge and sample loaders against their line parser.
 
-The line parser is the oracle: with NumPy's parse switched off, each
+The line parser is the oracle: with the compiled steps switched off, the
+reader decides no line and the line parser reads the whole file, and each
 loader must give the same arrays (dtype and bytes) or raise the same
 exception with the same message. A last test switches the line parser
-off instead, so that a NumPy parse that always fell back would fail.
+off instead, so that a reader that always handed the file on would fail.
 """
 
 import tempfile
@@ -17,11 +18,11 @@ from hypothesis import strategies as st
 from oracles import reference_edge_list
 
 import privwalk.ingest as ingest
-from privwalk import load_edge_list, load_sample_records
+from privwalk import graph, load_edge_list, load_sample_records
 
 BIG = 2**53
 INT64_ENDS = [str(2**63 - 1), str(-(2**63)), str(2**63), str(-(2**63) - 1), str(2**64 + 1)]
-# integer tokens Python's int() accepts, then ones it rejects; NumPy may differ
+# integer tokens Python's int() accepts, then ones it rejects
 GOOD_INTS = ["+3", "-2", "007", "1_000", "1_0", "\u0661\u0662", "\uff11\uff12", *INT64_ENDS[:2]]
 BAD_INTS = ["1.0", "1e3", "0x10", "abc", "--1", "+", "\x00", "\ufeff1", *INT64_ENDS[2:]]
 ODD_FLOATS = ["nan", "-nan", "NaN", "inf", "-inf", "infinity", "1e-400", "1e400", "0", "0.0",
@@ -129,12 +130,12 @@ def _outcome(load, path):
     return [(a.dtype, a.tobytes()) for a in arrays]
 
 
-def _check_against_line_parser(load, numpy_parse, text):
+def _check_against_line_parser(load, text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.txt"
         path.write_bytes(text.encode("utf-8"))
         got = _outcome(load, path)
-        with mock.patch.object(ingest, numpy_parse, lambda lines: None):
+        with mock.patch.object(graph, "_kernels", lambda: None):
             want = _outcome(load, path)
     assert got == want
 
@@ -154,8 +155,11 @@ def _check_against_line_parser(load, numpy_parse, text):
 @example("1e3 2\n")
 @example(f"{2**63 - 1} {-(2**63)}\n{2**63} 1\n")
 @example(f"{-(2**63) - 1} 0\n")
+@example("1 2\n2 3\n3 1\n1_000 2\n2 4\n4 5\n")
+@example("1 2\n2 3\nx 4\n")
+@example("1 2\n# c\r3 4\n")
 def test_edge_list_matches_line_parser(text):
-    _check_against_line_parser(load_edge_list, "_numpy_edges", text)
+    _check_against_line_parser(load_edge_list, text)
 
 
 @settings(max_examples=400, deadline=None, database=None)
@@ -175,8 +179,11 @@ def test_edge_list_matches_line_parser(text):
 @example("5 3 2.5\r\n\r\n7 2 2.0\r\n")
 @example("")
 @example("# none\n")
+@example("5 3 2.5\n7 2 2.0\n1_000 3 2.0\n5 3 1.5\n")
+@example("5 3 2.5\n7 x 2.0\n")
+@example("5 3 2.5\n# c\r7 2 2.0\n")
 def test_sample_records_match_line_parser(text):
-    _check_against_line_parser(load_sample_records, "_numpy_samples", text)
+    _check_against_line_parser(load_sample_records, text)
 
 
 def _line_parser_off(path):

@@ -14,16 +14,20 @@ from privwalk import graph
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Runs in a child whose allocator is ASan's. Both steps run the library
-# named by argv[1] and are checked against their Python twins.
+# Runs in a child whose allocator is ASan's. The three steps run the
+# library named by argv[1] and are checked against their Python twins, the
+# reader through the loaders, whose twin hands every line to the line parser.
 SANITIZED_RUN = r"""
 import sys
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 
 from graphgen import RUNNERS, random_connected_edges
-from privwalk import LabeledGraph, assign_labels_bernoulli, build_graph, graph, walk
+from privwalk import (IngestError, LabeledGraph, assign_labels_bernoulli, build_graph, graph,
+                      load_edge_list, load_sample_records, walk)
 from privwalk.graph import GraphError, largest_public_cluster
 
 lib = graph._load(sys.argv[1])
@@ -73,6 +77,51 @@ for runner in (lambda: mock.patch.object(graph, "_kernels", lambda: lib), RUNNER
             pass
         else:
             raise AssertionError("a pick from the empty last row did not raise")
+
+
+def loaded(load, path):
+    try:
+        out = load(path)
+    except IngestError as e:
+        return str(e)
+    if load is load_edge_list:
+        return out.indptr.tolist(), out.indices.tolist(), out.orig_ids.tolist()
+    return out.nodes.tolist(), out.degrees.tolist(), out.public_degrees.tolist()
+
+
+EDGE_FILES = [b"", b"1 2\n2 3", b"1 2\n2 3\n# c", b"- 1\n", b"1 2\n+ 3\n", b"1 +\n",
+              b"1 2\n%d 2\n%d 3\n" % (10**18 + 1, 10**19 + 1), b"%d 5\n5 6\n" % -(2**63),
+              b"1 2\n2 3\x00\n", b"1 2\n# \x00\n2 3\n", b"1 2\r\n2 3\r\n", b"# c\r1 2\n",
+              b"1 2\r", b"\t1\t2 w 0.5\n \n"]
+SAMPLE_FILES = [b"", b"5 3 2.5\n7 2 2", b"5 3 2.5\n# c", b"- 3 2.5\n", b"5 3 +\n",
+                b"x 5 3 2.5\ny 7 2 2.0\n", b"5 3 2.5\n\x00 7 2 2.0\n", b"5 3 2.5\r\n7 2 1\r\n",
+                b"# c\r5 3 2.5\n", b"%d 3 2.5\n%d 2 1.0\n" % (-(2**63), 10**19),
+                b"5 3 1.%s\n" % (b"0" * 70), b"5 3 2.5e0\n5 3 0.5E+1\n"]
+# the reader on an exact-size copy of text, past whose end ASan sees a read,
+# as it would not past a bytes object's final NUL; each array holds cap rows
+def read(text, cols, cap):
+    buf = np.frombuffer(text, dtype=np.uint8).copy()
+    out = [np.empty(cap, np.int64), np.empty(cap, np.int64), np.empty(cap, np.float64)]
+    state = np.zeros(2, np.int64)
+    k = lib.privwalk_read(buf.ctypes.data, buf.size, cols, cap, state.ctypes.data,
+                          *(a.ctypes.data for a in out))
+    return k, state.tolist()
+
+
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "data.txt"
+    for load, files, cols in ((load_edge_list, EDGE_FILES, 2),
+                              (load_sample_records, SAMPLE_FILES, 3)):
+        for text in files:
+            path.write_bytes(text)
+            got, want = both(lambda: loaded(load, path))
+            assert got == want, (text, got, want)
+            read(text, cols, text.count(b"\n") + 1)
+
+# room for one row: the reader stops at the second data line
+for cols in (2, 3):
+    text = b"# c\n1 2 1\n3 4 1\n" if cols == 3 else b"# c\n1 2\n3 4\n"
+    assert read(text, cols, 1) == (1, [text.index(b"3"), 3])
 print("clean")
 """
 

@@ -216,9 +216,10 @@ def test_the_compiled_loop_is_built_wherever_a_compiler_is_found():
     if shutil.which("cc") is not None:
         lib = graph._kernels()
         assert lib is not None and lib.privwalk_select and lib.privwalk_clusters
+        assert lib.privwalk_read
 
 
-# a `cc` script on an otherwise empty PATH, and what the one debug line names
+# a `cc` script on an otherwise empty PATH, and what the one warning names
 FAKE_COMPILERS = {
     "no_compiler": (None, "no C compiler found"),
     "compiler_fails": ("#!/bin/sh\nexit 1\n", "non-zero exit status 1"),
@@ -251,8 +252,20 @@ def test_a_failed_build_falls_back_to_the_python_loop(tmp_path, monkeypatch, cap
         assert np.array_equal(getattr(got[1], f.name), getattr(want[1], f.name)), f.name
     [record] = caplog.records
     message = record.getMessage()
-    assert record.levelno == logging.DEBUG and cause in message
-    assert "selection step and the cluster pass run in Python" in message
+    assert record.levelno == logging.WARNING and cause in message
+    assert "selection step, the cluster pass and the file reader run in Python" in message
+
+
+def test_a_missing_compiler_is_logged_once_as_a_warning(monkeypatch, caplog):
+    # __wrapped__ skips the cache that makes this one warning per process
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    caplog.set_level(logging.DEBUG, logger=graph.__name__)
+    assert graph._kernels.__wrapped__() is None
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    assert record.getMessage() == (
+        "no C compiler found; the walk's selection step, the cluster pass and the file "
+        "reader run in Python, and edge and sample files are read line by line")
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
