@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
@@ -50,6 +51,8 @@ def _check_fraction(name: str, x: float) -> None:
 
 
 def _check_at_least(name: str, x: int, k: int) -> None:
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
     if x < k:
         raise ValueError(f"{name} must be at least {k}, got {x}")
 

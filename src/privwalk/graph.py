@@ -52,12 +52,14 @@ def _check_rate(p: float, name: str = "privacy rate") -> None:
 
 def _cast(a, dtype, what: str) -> np.ndarray:
     """``a`` as a contiguous ``dtype`` array, or :class:`GraphError` where the
-    cast would change a value: it truncates floats and takes strings and
-    integers other than 0 and 1 as True. A contiguous ``dtype`` array is kept."""
+    cast would change a value: it truncates floats, takes strings and
+    integers other than 0 and 1 as True, and wraps integers outside
+    ``dtype``'s range. A contiguous ``dtype`` array is kept."""
     a = np.asarray(a)
-    if a.size and a.dtype != dtype and (
-            a.dtype.kind not in "iu" or dtype == bool and ((a != 0) & (a != 1)).any()):
-        raise GraphError(f"{what}, got {a.dtype} values")
+    if a.size and a.dtype != dtype:
+        lo, hi = (0, 1) if dtype == bool else (np.iinfo(dtype).min, np.iinfo(dtype).max)
+        if a.dtype.kind not in "iu" or a.min() < lo or a.max() > hi:
+            raise GraphError(f"{what}, got {a.dtype} values")
     return np.ascontiguousarray(a, dtype=dtype)
 
 
@@ -253,8 +255,8 @@ def build_graph(
     if set(map(len, edges)) - {2}:
         i = next(i for i, edge in enumerate(edges) if len(edge) != 2)
         raise GraphError(f"edge {i} is not a pair: {edges[i]!r}")
-    # one flat pass; a subarray dtype in np.fromiter converts pair by pair
-    e = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+    e = _cast(list(itertools.chain.from_iterable(edges)), np.int64,
+              "edge endpoints must be integers")
     u, v = e[0::2], e[1::2]
     # the first bad edge in input order raises; per edge the range check
     # comes first, then the self-loop, then the duplicate check

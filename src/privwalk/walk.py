@@ -20,11 +20,11 @@ and their Python twins. The compiled step and its twin select the same
 neighbors bit for bit, and both stop at a node without neighbors, where
 the walk raises. One NumPy pass over that record derives the node
 sequence, the tries per sample, the degrees and the selection counters
-once, then each requested mode's public degrees and query ledger. They
-take the same values, under the same query conventions, as charging
-each query as it happens; ``tests/oracles.py`` holds that query-by-query
-reference, which defines the conventions and against which the tests
-hold this walk.
+once, then each requested mode's public degrees and query ledger. A
+ledger holds two totals, the raw query count and the distinct queried
+ids, and they equal what charging each query as it happens gives;
+``tests/oracles.py`` holds that query-by-query reference, which defines
+the query conventions and against which the tests hold this walk.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class AccessModel(Enum):
 
 
 class QueryLedger:
-    """Raw queries, distinct queried nodes and per-sample query counts.
+    """A walk's raw query count and the sorted int64 array of queried ids.
 
     With ``memoize`` enabled a repeat query of an already-queried node is
     assumed to be answered from cache and is not counted. Default is off,
@@ -56,18 +56,17 @@ class QueryLedger:
     in this module fills a ledger, and it fills an empty one.
     """
 
-    __slots__ = ("raw_queries", "unique_queried", "per_sample_queries", "memoize")
+    __slots__ = ("raw_queries", "unique_queried", "memoize")
 
     def __init__(self, memoize: bool = False):
         self.raw_queries = 0
-        self.unique_queried: set[int] = set()
-        self.per_sample_queries: list[int] = []
+        self.unique_queried = np.empty(0, dtype=np.int64)
         self.memoize = memoize
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"QueryLedger(raw={self.raw_queries}, unique={len(self.unique_queried)}, "
-            f"samples={len(self.per_sample_queries)}, memoize={self.memoize})"
+            f"QueryLedger(raw={self.raw_queries}, unique={self.unique_queried.size}, "
+            f"memoize={self.memoize})"
         )
 
 
@@ -201,15 +200,14 @@ def run_walk(
     probes, whose reports double as the next sample's neighbor data.
     `exact_hidden` probes every neighbor of each sample once per visit,
     `approx_hidden` probes each selected neighbor. Arriving at a sample
-    costs nothing more. Within a sample the probes are charged in
-    selection order; with ``memoize`` only a node's first charge counts.
+    costs nothing more. With ``memoize`` only a node's first query counts.
     """
     model = AccessModel(model)
     pubdeg_mode = PubdegMode(pubdeg_mode)
     pubdeg_mode.check_model(model)
     if ledger is None:
         ledger = QueryLedger()
-    elif ledger.raw_queries or ledger.unique_queried or ledger.per_sample_queries:
+    elif ledger.raw_queries or ledger.unique_queried.size:
         raise ValueError("the ledger already holds charges; pass an empty QueryLedger")
     if view is None:
         view = largest_public_cluster(g)
@@ -278,23 +276,21 @@ def _record(g: LabeledGraph, view: PublicClusterView, seed_node: int, probes, r:
     for mode, ledger in zip(modes, ledgers):
         if mode is PubdegMode.APPROX_HIDDEN:
             pub_out = degs * (visits[owner] / attempts[owner])
-            # sample k charges its own probes, which end at its hit
-            _charge(ledger, n, probes, hits + 1, np.arange(r), tries)
+            _charge(ledger, n, probes, probes.size)
         else:
             # samples are cluster members, so all their public neighbors are members
             pub_out = view.public_degree[nodes].astype(np.float64)
         if mode is PubdegMode.EXACT_IDEAL:
             # every visit is one query; arrivals are never free here
-            _charge(ledger, n, nodes, np.arange(1, r + 1), np.arange(r), np.ones(r, np.int64))
+            _charge(ledger, n, nodes, r)
         elif mode is PubdegMode.EXACT_HIDDEN:
-            # each distinct node's probes are its neighbor list; a revisit
-            # charges the same ids as the first visit, so the distinct nodes
-            # in first-visit order carry every first charge
+            # each visit probes the node's neighbor list; a revisit probes
+            # the same ids, so the distinct nodes' lists hold every id
             lens = g.degrees[distinct]
             ends = np.cumsum(lens)
             starts = np.repeat(g.indptr[distinct] - ends + lens, lens)
             nbr_ids = g.indices[starts + np.arange(ends[-1])]
-            _charge(ledger, n, nbr_ids, ends, first, degs)
+            _charge(ledger, n, nbr_ids, degs.sum())
         records.append(WalkRecord(nodes, degs, pub_out, mode, ledger, counters))
     return records
 
@@ -332,33 +328,14 @@ def _select(g: LabeledGraph, seed_node: int, r: int, rng_seed) -> np.ndarray:
     return out[:n]
 
 
-def _charge(
-    ledger: QueryLedger,
-    n: int,
-    charged: np.ndarray,
-    seg_ends: np.ndarray,
-    seg_sample: np.ndarray,
-    plain_counts: np.ndarray,
-) -> None:
-    """Fill ``ledger`` with a walk's queries, one bucket per sample.
+def _charge(ledger: QueryLedger, n: int, charged: np.ndarray, raw: int) -> None:
+    """Fill ``ledger`` with a walk's queries over node ids ``0..n-1``.
 
-    ``charged`` lists queried ids in charge order, cut into segments that
-    end at ``seg_ends``; segment ``i`` belongs to sample ``seg_sample[i]``.
-    ``plain_counts`` is each sample's charge count without memoization.
-    The result equals charging the ids one by one, each sample opening a
-    new bucket, as the query-by-query reference in ``tests/oracles.py``
-    does.
+    ``charged`` holds every queried id, repeats allowed, and ``raw`` counts
+    the queries without memoization. With ``memoize`` each distinct id
+    counts once.
     """
-    if ledger.memoize:
-        # a charge counts when it is the id's first
-        ids, first = np.unique(charged, return_index=True)
-        owner = seg_sample[np.searchsorted(seg_ends, first, side="right")]
-        counts = np.bincount(owner, minlength=plain_counts.size)
-    else:
-        queried = np.zeros(n, dtype=bool)
-        queried[charged] = True
-        ids = np.flatnonzero(queried)
-        counts = plain_counts
-    ledger.raw_queries = int(counts.sum())
-    ledger.per_sample_queries = counts.tolist()
-    ledger.unique_queried = set(ids.tolist())
+    queried = np.zeros(n, dtype=bool)
+    queried[charged] = True
+    ledger.unique_queried = np.flatnonzero(queried)
+    ledger.raw_queries = int(ledger.unique_queried.size if ledger.memoize else raw)

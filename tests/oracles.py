@@ -74,10 +74,16 @@ class NeighborReport:
         return len(self.neighbor_ids)
 
 
-class ReferenceLedger(QueryLedger):
+class ReferenceLedger:
     """A ledger charged one query at a time, one bucket per sample."""
 
-    __slots__ = ()
+    __slots__ = ("raw_queries", "unique_queried", "per_sample_queries", "memoize")
+
+    def __init__(self, memoize: bool = False):
+        self.raw_queries = 0
+        self.unique_queried: set[int] = set()
+        self.per_sample_queries: list[int] = []
+        self.memoize = memoize
 
     def begin_sample(self) -> None:
         self.per_sample_queries.append(0)

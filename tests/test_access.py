@@ -99,7 +99,7 @@ def test_ideal_walk_charges_one_query_per_sample(fixture_graph):
         fixture_graph, AccessModel.IDEAL, 4, r, PubdegMode.EXACT_IDEAL, rng_seed=7
     )
     assert rec.ledger.raw_queries == r
-    assert rec.ledger.per_sample_queries == [1] * r
+    assert np.array_equal(rec.ledger.unique_queried, np.unique(rec.nodes))
 
 
 def test_hidden_exact_walk_on_regular_graph_charges_r_times_d():
@@ -110,7 +110,8 @@ def test_hidden_exact_walk_on_regular_graph_charges_r_times_d():
     # every sample probes all d neighbors; reselection never happens with all
     # nodes public, and probe reports double as the next sample's data
     assert rec.ledger.raw_queries == r * d
-    assert rec.ledger.per_sample_queries == [d] * r
+    probed = np.concatenate([g.neighbors(v) for v in rec.nodes])
+    assert np.array_equal(rec.ledger.unique_queried, np.unique(probed))
 
 
 @pytest.mark.parametrize("memoize", [False, True])
@@ -121,25 +122,35 @@ def test_walk_refuses_a_charged_ledger(fixture_graph, monkeypatch, memoize):
     run_walk(fixture_graph, AccessModel.HIDDEN, 4, 50, PubdegMode.APPROX_HIDDEN, 3, walked)
     assert walked.raw_queries > 0
     known = QueryLedger(memoize=memoize)
-    known.unique_queried.add(5)  # a node queried before, with no charge counted
+    known.unique_queried = np.array([5])  # a node queried before, with no charge counted
 
     def no_selection(*args):
         raise AssertionError("the walk made selections")
 
     monkeypatch.setattr(walk, "_select", no_selection)
     for ledger in (walked, known):
-        held = (ledger.raw_queries, set(ledger.unique_queried), list(ledger.per_sample_queries))
+        held = (ledger.raw_queries, ledger.unique_queried.copy())
         for mode in PubdegMode:
             with pytest.raises(ValueError, match="^the ledger already holds charges"):
                 run_walk(fixture_graph, mode.access_model, 4, 50, mode, 3, ledger)
-        assert (ledger.raw_queries, ledger.unique_queried, ledger.per_sample_queries) == held
+        assert ledger.raw_queries == held[0]
+        assert np.array_equal(ledger.unique_queried, held[1])
 
 
-def test_walk_per_sample_queries_sum_to_raw(fixture_graph):
+@pytest.mark.parametrize("memoize", [False, True])
+def test_walk_raw_queries_per_mode(fixture_graph, memoize):
     view = largest_public_cluster(fixture_graph)
     for mode in PubdegMode:
-        rec = run_walk(
-            fixture_graph, mode.access_model, 4, 300, mode, rng_seed=13, view=view
-        )
-        assert len(rec.ledger.per_sample_queries) == 300
-        assert sum(rec.ledger.per_sample_queries) == rec.ledger.raw_queries
+        rec = run_walk(fixture_graph, mode.access_model, 4, 300, mode, 13,
+                       QueryLedger(memoize=memoize), view=view)
+        queried = rec.ledger.unique_queried
+        assert queried.dtype == np.int64 and (np.diff(queried) > 0).all()
+        if memoize:
+            want = queried.size
+        elif mode is PubdegMode.EXACT_IDEAL:
+            want = rec.r  # one query per visit
+        elif mode is PubdegMode.EXACT_HIDDEN:
+            want = rec.degrees.sum()  # every neighbor, every visit
+        else:
+            want = sum(rec.counters.attempts.values())  # one probe per selection
+        assert rec.ledger.raw_queries == want

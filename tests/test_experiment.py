@@ -162,6 +162,12 @@ def test_load_config_rejects_out_of_range_values(tmp_path, line, message):
         (dict(nrmse_target="bogus"), "nrmse_target must be 'estimates' or 'convergence'"),
         (dict(model=AccessModel.IDEAL, pubdeg_mode=PubdegMode.APPROX_HIDDEN),
          "pubdeg_mode = approx_hidden requires model = hidden, got model = ideal"),
+        (dict(trials=2.5), "trials must be an integer, got 2.5$"),
+        (dict(workers=1.5), "workers must be an integer, got 1.5$"),
+        (dict(base_seed=0.5), "base_seed must be an integer, got 0.5$"),
+        (dict(sample_sizes=(20.5,)), "sample_size must be an integer, got 20.5$"),
+        (dict(trials=True), "trials must be an integer, got True$"),
+        (dict(workers=np.bool_(True)), r"workers must be an integer, got (np\.)?True_?$"),
     ],
 )
 def test_code_built_config_obeys_the_file_rules(tmp_path, kw, message):
@@ -169,6 +175,12 @@ def test_code_built_config_obeys_the_file_rules(tmp_path, kw, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         ExperimentConfig(dataset="unused", outdir=str(out), **kw)
     assert not out.exists()
+
+
+def test_code_built_config_takes_numpy_integers():
+    cfg = ExperimentConfig(dataset="unused", trials=np.int64(3), workers=np.int32(1),
+                           base_seed=np.uint8(0), sample_sizes=(np.int64(20),))
+    assert (cfg.trials, cfg.workers, cfg.base_seed, cfg.sample_sizes) == (3, 1, 0, (20,))
 
 
 @pytest.mark.parametrize(

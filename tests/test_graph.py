@@ -57,6 +57,14 @@ def test_build_graph_rejects_disconnected():
 def test_build_graph_rejects_out_of_range():
     with pytest.raises(GraphError, match="outside"):
         build_graph([(0, 5)], [False] * 3)
+    # endpoints follow the cast rule: no truncation, parsing or wrapping
+    for bad, dtype in [(0.5, "float64"), (1.9, "float64"), ("1", "<U21"), (2**70, "object"),
+                       (None, "object")]:
+        message = f"edge endpoints must be integers, got {dtype} values"
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            build_graph([(0, bad), (1, 2)], [False] * 3)
+    with pytest.raises(GraphError, match="^edge endpoints must be integers, got uint64 values$"):
+        build_graph([(np.uint64(2**64 - 1), np.uint64(1))], [False] * 3)
 
 
 @pytest.mark.parametrize("bad", [(1,), (1, 2, 0)])
